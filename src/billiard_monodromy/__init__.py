@@ -15,7 +15,6 @@ from .exactla import (
     SnfResult,
     circulant,
     smith_normal_form,
-    snf_divisors,
     minor_gcd,
     rank_mod_p,
 )
@@ -23,7 +22,6 @@ from .monodromy import (
     GroupDescriptor,
     group_of,
     deltas_of,
-    descriptor_from_divisors,
     triangle_closed_form,
     quadrilateral_closed_form,
     regular_kgon,

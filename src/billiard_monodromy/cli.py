@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import construct, exactla, monodromy, oracle, polyfp
 from .errors import CapExceeded, DomainError
@@ -29,10 +30,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _Usage(message)
-
-
-def _emit_json(doc):
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def _parse_tuple(text):
@@ -75,188 +72,155 @@ def cmd_group(args):
     desc = monodromy.group_of(t)
     doc = {"tuple": t.to_json_dict(), "group": desc.to_json_dict()}
     lines = [f"{desc.pretty()}, order {desc.order}"]
-    if args.verify:
-        span_cap, group_cap = _caps(args)
-        pp = oracle.build_permutations(t)
-        size = oracle.group_order(pp, cap=group_cap)
-        inv = oracle.span_invariants(t, cap=span_cap)
-        ok = size == desc.order and inv.factors == desc.deltas
-        doc["oracle"] = {"group_order": size,
-                         "span_factors": list(inv.factors), "ok": ok}
-        lines.append(f"oracle: {'OK' if ok else 'MISMATCH'} (|G|={size})")
-        if not ok:
-            if args.json:
-                _emit_json(doc)
-            else:
-                print("\n".join(lines))
-            return EXIT_DOMAIN
-    if args.json:
-        _emit_json(doc)
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
+    if not args.verify:
+        return doc, lines, EXIT_OK
+    span_cap, group_cap = _caps(args)
+    pp = oracle.build_permutations(t)
+    size = oracle.group_order(pp, cap=group_cap)
+    inv = oracle.span_invariants(t, cap=span_cap)
+    ok = size == desc.order and inv.factors == desc.deltas
+    doc["oracle"] = {"group_order": size,
+                     "span_factors": list(inv.factors), "ok": ok}
+    lines.append(f"oracle: {'OK' if ok else 'MISMATCH'} (|G|={size})")
+    return doc, lines, EXIT_OK if ok else EXIT_DOMAIN
+
+
+def _parse_matrix(text):
+    try:
+        A = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise _Usage(f"--matrix must be a JSON array of rows: {e}")
+    if (not isinstance(A, list) or not A
+            or any(not isinstance(r, list) or len(r) != len(A[0]) for r in A)):
+        raise _Usage("--matrix must be a nonempty rectangular array of rows")
+    # bool is a subclass of int, and int() would truncate floats silently
+    if not A[0] or any(type(x) is not int for row in A for x in row):
+        raise _Usage("--matrix rows must be nonempty and hold only integers")
+    return A
 
 
 def cmd_snf(args):
     if args.matrix:
-        try:
-            A = json.loads(args.matrix)
-        except json.JSONDecodeError as e:
-            raise _Usage(f"--matrix must be a JSON array of rows: {e}")
-        if (not isinstance(A, list) or not A
-                or any(not isinstance(r, list) or len(r) != len(A[0]) for r in A)):
-            raise _Usage("--matrix must be a nonempty rectangular array of rows")
-        A = [[int(x) for x in row] for row in A]
+        A = _parse_matrix(args.matrix)
     elif args.n and args.tuple:
         A = exactla.circulant(validate(_parse_tuple(args.tuple), args.n, "algebraic"))
     else:
         raise _Usage("snf needs either --matrix or both --n and --tuple")
     res = exactla.smith_normal_form(A)
-    if args.json:
-        _emit_json({"U": res.U, "D": res.D, "V": res.V,
-                    "divisors": list(res.divisors)})
-    else:
-        for name, M in (("U", res.U), ("D", res.D), ("V", res.V)):
-            print(f"{name}:")
-            for row in M:
-                print("  " + " ".join(map(str, row)))
-        print("divisors: " + ", ".join(map(str, res.divisors)))
-    return EXIT_OK
+    doc = {"U": res.U, "D": res.D, "V": res.V, "divisors": list(res.divisors)}
+    lines = []
+    for name, M in (("U", res.U), ("D", res.D), ("V", res.V)):
+        lines.append(f"{name}:")
+        lines.extend("  " + " ".join(map(str, row)) for row in M)
+    lines.append("divisors: " + ", ".join(map(str, res.divisors)))
+    return doc, lines, EXIT_OK
 
 
 def cmd_verify(args):
     t = validate(_parse_tuple(args.tuple), args.n, "algebraic")
     span_cap, group_cap = _caps(args)
     report = oracle.check_structure(t, span_cap=span_cap, group_cap=group_cap)
-    if args.json:
-        _emit_json({
-            "n": report.n, "k": report.k,
-            "group_order": report.group_order,
-            "translation_order": report.translation_order,
-            "action_trivial": report.action_trivial,
-            "clauses": report.clauses,
-            "passed": report.passed,
-        })
-    else:
-        for name, ok in report.clauses.items():
-            print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        print(f"|G| = {report.group_order}, |N| = {report.translation_order}, "
-              f"action {'trivial' if report.action_trivial else 'nontrivial'}")
-    return EXIT_OK if report.passed else EXIT_DOMAIN
+    doc = {
+        "n": report.n, "k": report.k,
+        "group_order": report.group_order,
+        "translation_order": report.translation_order,
+        "action_trivial": report.action_trivial,
+        "clauses": report.clauses,
+        "passed": report.passed,
+    }
+    lines = [f"{name}: {'PASS' if ok else 'FAIL'}"
+             for name, ok in report.clauses.items()]
+    lines.append(f"|G| = {report.group_order}, |N| = {report.translation_order}, "
+                 f"action {'trivial' if report.action_trivial else 'nontrivial'}")
+    return doc, lines, EXIT_OK if report.passed else EXIT_DOMAIN
 
 
 def cmd_factor(args):
     factors = polyfp.factor_xk_minus_1(args.k, args.p)
-    if args.json:
-        _emit_json({"k": args.k, "p": args.p, "factors": [
-            {"coeffs": list(f.coeffs), "multiplicity": m} for f, m in factors]})
-    else:
-        for f, m in factors:
-            print(f"({f})" + (f"^{m}" if m > 1 else ""))
-    return EXIT_OK
+    doc = {"k": args.k, "p": args.p, "factors": [
+        {"coeffs": list(f.coeffs), "multiplicity": m} for f, m in factors]}
+    lines = [f"({f})" + (f"^{m}" if m > 1 else "") for f, m in factors]
+    return doc, lines, EXIT_OK
 
 
 def cmd_enumerate(args):
     gen = (enumerate_geometric if args.level == "geometric"
            else enumerate_algebraic)(args.k, args.n)
-    if args.json:
-        out = []
-        for t in gen:
-            item = {"tuple": t.to_json_dict()}
-            if args.groups:
-                item["group"] = monodromy.group_of(t).to_json_dict()
-            out.append(item)
-        _emit_json({"k": args.k, "n": args.n, "level": args.level,
-                    "count": len(out), "tuples": out})
-    else:
-        count = 0
-        for t in gen:
-            line = str(t)
-            if args.groups:
-                line += f"  ->  {monodromy.group_of(t).pretty()}"
-            print(line)
-            count += 1
-        print(f"{count} tuples")
-    return EXIT_OK
+    items, lines = [], []
+    for t in gen:
+        item = {"tuple": t.to_json_dict()}
+        line = str(t)
+        if args.groups:
+            desc = monodromy.group_of(t)
+            item["group"] = desc.to_json_dict()
+            line += f"  ->  {desc.pretty()}"
+        items.append(item)
+        lines.append(line)
+    lines.append(f"{len(items)} tuples")
+    doc = {"k": args.k, "n": args.n, "level": args.level,
+           "count": len(items), "tuples": items}
+    return doc, lines, EXIT_OK
 
 
-def _print_report(report, as_json):
-    if as_json:
-        _emit_json(report.to_json_dict())
-        return
+def _report_output(report):
+    lines = []
     for desc in report.achievable:
         wit = report.witnesses[desc]
-        print(f"{desc.pretty()}, order {desc.order}  witness {wit}")
+        lines.append(f"{desc.pretty()}, order {desc.order}  witness {wit}")
     for desc, rule in report.excluded:
-        print(f"excluded: {desc.pretty()}  [{rule}]")
+        lines.append(f"excluded: {desc.pretty()}  [{rule}]")
+    return report.to_json_dict(), lines, EXIT_OK
 
 
 def cmd_classify_prime(args):
-    _print_report(construct.classify_prime(args.k, args.p), args.json)
-    return EXIT_OK
+    return _report_output(construct.classify_prime(args.k, args.p))
 
 
 def cmd_classify_triangle(args):
-    _print_report(construct.classify_triangles(args.n), args.json)
-    return EXIT_OK
+    return _report_output(construct.classify_triangles(args.n))
 
 
 def cmd_construct(args):
     t = construct.construct_prime_case(args.k, args.p, args.d)
     desc = monodromy.group_of(t)
-    if args.json:
-        _emit_json({"tuple": t.to_json_dict(), "group": desc.to_json_dict()})
-    else:
-        print(f"{t}  ->  {desc.pretty()}, order {desc.order}")
-    return EXIT_OK
+    doc = {"tuple": t.to_json_dict(), "group": desc.to_json_dict()}
+    return doc, [f"{t}  ->  {desc.pretty()}, order {desc.order}"], EXIT_OK
+
+
+def _tuple_output(t):
+    return {"tuple": t.to_json_dict()}, [str(t)], EXIT_OK
 
 
 def cmd_combine(args):
     t1 = validate(_parse_tuple(args.tuple1), args.n1, "algebraic")
     t2 = validate(_parse_tuple(args.tuple2), args.n2, "algebraic")
-    out = (construct.combine_crt(t1, t2) if t1.k == t2.k
-           else construct.combine_coprime_k(t1, t2))
-    if args.json:
-        _emit_json({"tuple": out.to_json_dict()})
-    else:
-        print(out)
-    return EXIT_OK
+    return _tuple_output(construct.combine_crt(t1, t2) if t1.k == t2.k
+                         else construct.combine_coprime_k(t1, t2))
 
 
 def cmd_project(args):
-    out = construct.project(
-        validate(_parse_tuple(args.tuple), args.n, "algebraic"), args.to)
-    if args.json:
-        _emit_json({"tuple": out.to_json_dict()})
-    else:
-        print(out)
-    return EXIT_OK
+    return _tuple_output(construct.project(
+        validate(_parse_tuple(args.tuple), args.n, "algebraic"), args.to))
 
 
 def cmd_lift(args):
-    out = construct.lift(
-        validate(_parse_tuple(args.tuple), args.n, "algebraic"), args.ell)
-    if args.json:
-        _emit_json({"tuple": out.to_json_dict()})
-    else:
-        print(out)
-    return EXIT_OK
+    return _tuple_output(construct.lift(
+        validate(_parse_tuple(args.tuple), args.n, "algebraic"), args.ell))
 
 
 def cmd_composite(args):
     cap = args.max_cases if args.max_cases else _env_cap(construct.DEFAULT_PRIME_POWER_CAP)
     result = construct.composite_feasible(
         args.k, args.n, _parse_tuple(args.deltas), per_prime_cap=cap)
-    if args.json:
-        _emit_json(result.to_json_dict())
-    elif result.feasible:
-        print(f"feasible: witness {result.witness}")
+    if result.feasible:
+        line = f"feasible: witness {result.witness}"
     else:
         where = f" (mod {result.failing_modulus})" if result.failing_modulus else ""
-        print(f"infeasible{where}: {result.detail}")
-    return EXIT_OK
+        line = f"infeasible{where}: {result.detail}"
+    return result.to_json_dict(), [line], EXIT_OK
 
 
+@cache
 def build_parser():
     parser = _Parser(prog="billiard-monodromy",
                      description="Monodromy groups of dessins on rational "
@@ -343,11 +307,9 @@ def build_parser():
                          f"(default {construct.DEFAULT_PRIME_POWER_CAP})")
     sp.set_defaults(func=cmd_composite)
 
-    for name in ("group", "snf", "verify", "factor", "enumerate",
-                 "classify-prime", "classify-triangle", "construct",
-                 "combine", "project", "lift", "composite"):
-        sub.choices[name].add_argument("--json", action="store_true",
-                                       help="machine-readable output")
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true",
+                        help="machine-readable output")
     return parser
 
 
@@ -355,7 +317,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        doc, lines, code = args.func(args)
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -365,6 +327,12 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"rejected: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.json:
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .errors import (
     ModulusNotPrime,
     NotMultiple,
     NTooSmall,
-    PDividesK,
     PreconditionFailed,
 )
 from .monodromy import GroupDescriptor, deltas_of
@@ -88,18 +87,23 @@ def achievable_d_set(k: int, p: int) -> set:
     """All gcd degrees d realizable by algebraic k-tuples mod p: sums of
     degrees over proper subsets of the irreducible factors of x^k - 1 that
     contain x - 1.  The full set is excluded since it would force the zero
-    tuple."""
+    tuple.
+
+    With p not dividing k the factor degrees are the p-cyclotomic coset
+    sizes mod k, and the orbit {0} is the factor x - 1.
+    """
     if not is_prime(p):
         raise ModulusNotPrime(f"{p} is not prime")
-    if k % p == 0:
-        raise PDividesK(f"p={p} divides k={k}")
-    degs = [f.degree for f, _ in factor_xk_minus_1(k, p)
-            if f.coeffs != (p - 1, 1)]
-    out = set()
-    for r in range(len(degs)):
-        for comb in combinations(range(len(degs)), r):
-            out.add(1 + sum(degs[i] for i in comb))
-    return out
+    degs = polyfp.coset_degrees(k, p)[1:]
+    # checked after coset_degrees so that p | k, k = 0 included, raises
+    # PDividesK first
+    if k < 1:
+        raise PreconditionFailed(f"k must be positive, got {k}")
+    sums = {0}
+    for d in degs:
+        sums |= {s + d for s in sums}
+    sums.discard(sum(degs))
+    return {1 + s for s in sums}
 
 
 def _poly_product(polys, p):

@@ -174,67 +174,6 @@ def smith_normal_form(A: list) -> SnfResult:
     return SnfResult(U, D, V, tuple(D[i][i] for i in range(limit)))
 
 
-def snf_divisors(A: list) -> tuple:
-    """Elementary divisors only; same pivoting without transform updates."""
-    rows = len(A)
-    cols = len(A[0])
-    D = [[int(x) for x in row] for row in A]
-    limit = min(rows, cols)
-    out = []
-    for t in range(limit):
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(D[i][j])
-                if v and (best is None or v < best):
-                    piv, best = (i, j), v
-        if piv is None:
-            out.extend([0] * (limit - t))
-            break
-        D[t], D[piv[0]] = D[piv[0]], D[t]
-        if piv[1] != t:
-            for r in D:
-                r[t], r[piv[1]] = r[piv[1]], r[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    if q:
-                        Di, Dt = D[i], D[t]
-                        for x in range(t, cols):
-                            Di[x] -= q * Dt[x]
-                    if D[i][t]:
-                        D[i], D[t] = D[t], D[i]
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    if q:
-                        for r in D:
-                            r[j] -= q * r[t]
-                    if D[t][j]:
-                        for r in D:
-                            r[j], r[t] = r[t], r[j]
-                        dirty = True
-            if dirty:
-                continue
-            culprit = next(
-                (i for i in range(t + 1, rows)
-                 if any(D[i][j] % D[t][t] for j in range(t + 1, cols))),
-                None)
-            if culprit is None:
-                break
-            Dt, Dc = D[t], D[culprit]
-            for x in range(t, cols):
-                Dt[x] += Dc[x]
-        out.append(abs(D[t][t]))
-    return tuple(out)
-
-
 def _local_divisors(A: list, p: int, e: int) -> list:
     """Invariant factors of A over Z/p^eZ: powers p^v, ascending valuation.
 

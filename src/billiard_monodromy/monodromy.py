@@ -55,13 +55,6 @@ def _canonical_deltas(raw) -> tuple:
     return out
 
 
-def descriptor_from_divisors(n: int, k: int, divisors,
-                             trivial_action=None) -> GroupDescriptor:
-    """delta_i = n / gcd(d_i, n), with gcd(0, n) = n; trailing 1s dropped."""
-    deltas = _canonical_deltas(n // gcd(d, n) for d in divisors)
-    return GroupDescriptor(n, k, deltas, trivial_action)
-
-
 def deltas_of(t: PolygonTuple) -> tuple:
     """Invariant factors of the tuple's N.
 
@@ -74,17 +67,17 @@ def deltas_of(t: PolygonTuple) -> tuple:
         n // d for d in invariant_factors_mod(circulant(t), n))
 
 
-def group_of(t: PolygonTuple, action_cap: int = DEFAULT_ACTION_CAP) -> GroupDescriptor:
+def group_of(t: PolygonTuple) -> GroupDescriptor:
     """Descriptor of the tuple's monodromy group.
 
     The conjugation action is certified by enumerating the span and checking
-    the cyclic shift, but only when the span is at most ``action_cap``
+    the cyclic shift, but only when the span is at most ``DEFAULT_ACTION_CAP``
     elements; above that the flag stays None.
     """
     deltas = deltas_of(t)
     trivial = None
-    if prod(deltas) <= action_cap:
-        trivial = oracle.span_shift_is_trivial(t, cap=action_cap + 1)
+    if prod(deltas) <= DEFAULT_ACTION_CAP:
+        trivial = oracle.span_shift_is_trivial(t, cap=DEFAULT_ACTION_CAP + 1)
     return GroupDescriptor(t.modulus, t.k, deltas, trivial)
 
 

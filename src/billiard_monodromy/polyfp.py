@@ -215,7 +215,7 @@ def _equal_degree_split(p, g, d, m):
     if len(g) - 1 == d:
         return [g]
     if d == 1:
-        return [(-r % p, 1) for r in range(p) if _eval(p, g, r) == 0]
+        return [(-r % p, 1) for r in roots(FpPoly(p, g))]
     # the constant term of a degree-d factor is (-1)^d times the norm of a
     # root, hence (-1)^d times an m-th root of unity in F_p
     sign = (-1) ** d % p
@@ -235,13 +235,6 @@ def _equal_degree_split(p, g, d, m):
                 if len(rem) == 1:
                     return out
     raise AssertionError("equal-degree splitting exhausted its candidates")
-
-
-def _eval(p, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _factor_squarefree_xm1(m, p):

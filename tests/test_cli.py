@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import billiard_monodromy
 from billiard_monodromy.cli import main
 
 
@@ -72,6 +78,14 @@ class TestSnf:
     def test_missing_input_is_usage(self, capsys):
         code, _, _ = run(capsys, "snf")
         assert code == 3
+
+    @pytest.mark.parametrize("matrix", [
+        '[["a"]]', "[[null]]", "[[[1]]]", "[[1.5, 2]]", "[[true]]", "[[]]",
+    ])
+    def test_non_integer_or_empty_rows_are_usage(self, capsys, matrix):
+        code, out, err = run(capsys, "snf", "--matrix", matrix)
+        assert code == 3
+        assert out == "" and err.startswith("error: --matrix")
 
 
 class TestVerify:
@@ -217,3 +231,28 @@ class TestEnvironmentCap:
                            "--verify", "--max-group", "1000", "--max-span", "1000")
         assert code == 0
         assert "oracle: OK" in out
+
+
+def test_one_parser_serves_successive_calls(capsys, monkeypatch):
+    # build_parser is cached, so argument defaults must not leak between
+    # calls: each in-process result equals a fresh interpreter's.  COLUMNS
+    # fixes the width argparse wraps the usage line to.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("BILLIARD_MONODROMY_MAX_CAP", raising=False)
+    src = os.path.dirname(os.path.dirname(billiard_monodromy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = [
+        ("group", "--n", "5"),
+        ("factor", "--k", "6", "--p", "2", "--json"),
+        ("group", "--n", "5", "--tuple", "2,2,2,4", "--verify", "--json"),
+        ("group", "--n", "5", "--tuple", "2,2,2,4", "--json"),
+    ]
+    results = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in results] == [3, 0, 0, 0]
+    assert "oracle" in json.loads(results[2][1])
+    assert "oracle" not in json.loads(results[3][1])
+    for argv, result in zip(calls, results):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "billiard_monodromy.cli", *argv],
+            capture_output=True, text=True, env=env)
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -30,6 +31,8 @@ from billiard_monodromy.errors import (
     PreconditionFailed,
 )
 from billiard_monodromy.monodromy import deltas_of
+from billiard_monodromy.numtheory import is_prime
+from billiard_monodromy.polyfp import factor_xk_minus_1
 from conftest import random_algebraic
 
 TWELVE_GON_MOD_35 = (22, 23, 18, 22, 2, 18, 8, 2, 32, 8, 23, 32)
@@ -135,8 +138,7 @@ class TestLift:
             ell = t.k * rng.randint(2, 3)
             lifted = lift(t, ell)
             assert deltas_of(lifted) == deltas_of(t)
-            assert group_of(lifted, action_cap=0).order \
-                == group_of(t, action_cap=0).order * ell // t.k
+            assert group_of(lifted).order == group_of(t).order * ell // t.k
 
 
 class TestCombineCoprimeK:
@@ -160,6 +162,24 @@ class TestAchievableDSet:
     def test_p_divides_k(self):
         with pytest.raises(PDividesK):
             achievable_d_set(6, 3)
+
+    def test_matches_factor_subset_sums(self):
+        # slow route: proper subsets of the factors of x^k - 1 other than
+        # x - 1; pairs whose equal-degree splitting would try more than
+        # 10^4 candidate factors (p^(ord_k(p) - 1)) are skipped
+        checked = 0
+        for k in range(1, 21):
+            for p in (q for q in range(2, 110) if is_prime(q) and k % q):
+                order = next(e for e in range(1, k + 1) if pow(p, e, k) == 1 % k)
+                if p ** (order - 1) > 10**4:
+                    continue
+                degs = [f.degree for f, _ in factor_xk_minus_1(k, p)
+                        if f.coeffs != (p - 1, 1)]
+                slow = {1 + sum(c) for r in range(len(degs))
+                        for c in combinations(degs, r)}
+                assert achievable_d_set(k, p) == slow, (k, p)
+                checked += 1
+        assert checked > 300
 
 
 class TestConstructPrimeCase:

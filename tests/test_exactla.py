@@ -5,7 +5,7 @@ import pytest
 
 from billiard_monodromy import circulant, minor_gcd, rank_mod_p, smith_normal_form, validate
 from billiard_monodromy.errors import JOutOfRange, PNotPrime
-from billiard_monodromy.exactla import det, identity, invariant_factors_mod, mat_mul, snf_divisors
+from billiard_monodromy.exactla import det, identity, invariant_factors_mod, mat_mul
 
 
 def random_matrix(rng, max_dim=6, max_entry=50):
@@ -141,9 +141,3 @@ def test_local_divisors_match_integer_snf():
     divs = smith_normal_form(C).divisors
     assert invariant_factors_mod(C, 35) == tuple(gcd(d, 35) for d in divs)
 
-
-def test_snf_divisors_shortcut_matches():
-    rng = random.Random(43)
-    for _ in range(120):
-        A = random_matrix(rng, max_dim=5, max_entry=30)
-        assert snf_divisors(A) == smith_normal_form(A).divisors

@@ -40,8 +40,8 @@ class TestGroupOf:
         assert group_of(validate([2, 2, 2, 4], 5)).trivial_action is False
 
     def test_action_unset_above_cap(self):
-        desc = group_of(validate([2, 2, 2, 4], 5), action_cap=10)
-        assert desc.trivial_action is None
+        # span 101^2 exceeds the fixed 10^4 action cap
+        assert group_of(validate([1, 1, 99], 101)).trivial_action is None
 
     def test_descriptor_comparison_ignores_action(self):
         a = GroupDescriptor(5, 4, (5, 5), trivial_action=None)
