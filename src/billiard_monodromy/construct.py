@@ -9,7 +9,6 @@ covering decision procedure for composite moduli.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from math import gcd
 from typing import Optional
 
@@ -114,12 +113,25 @@ def _poly_product(polys, p):
 
 
 def _subset_with_degree(rest, target):
-    # lexicographically first index subset (by size, then order) hitting target
-    for r in range(len(rest) + 1):
-        for comb in combinations(range(len(rest)), r):
-            if sum(rest[i].degree for i in comb) == target:
-                return [rest[i] for i in comb]
-    return None
+    # lexicographically first index subset (by size, then order) hitting
+    # target; reach[i] holds the (size, degree sum) pairs rest[i:] can make,
+    # so the greedy pick below takes the smallest index that can complete
+    degs = [f.degree for f in rest]
+    reach = [{(0, 0)}]
+    for d in reversed(degs):
+        below = reach[-1]
+        reach.append(below | {(r + 1, s + d) for r, s in below if s + d <= target})
+    reach.reverse()
+    size = min((r for r, s in reach[0] if s == target), default=None)
+    if size is None:
+        return None
+    chosen, i = [], 0
+    while size:
+        while (size - 1, target - degs[i]) not in reach[i + 1]:
+            i += 1
+        chosen.append(rest[i])
+        size, target, i = size - 1, target - degs[i], i + 1
+    return chosen
 
 
 def _witness_poly_generic(k: int, p: int, d: int) -> FpPoly:
@@ -285,9 +297,20 @@ def classify_triangles(n: int) -> ClassificationReport:
     """All triangle groups (C_n x C_{n/alpha}) : C_3 for a modulus n.
 
     Admissible alpha are the divisors of n of the form 3^i * (primes that
-    are 1 mod 3), i <= 1; every geometric triangle mod n is scanned in
-    lexicographic order, the first hit per alpha becomes its witness, and
-    any disagreement with the prediction raises loudly.
+    are 1 mod 3), i <= 1.  Geometric triangles mod n are scanned in
+    lexicographic order and the first hit per alpha becomes its witness.
+    The scan stops once every admissible alpha has a witness; an
+    inadmissible alpha met on the way, or a scan that runs out first,
+    raises InternalVerificationFailed.
+
+    The triangles the early stop skips are covered prime by prime: with
+    a2 = n - a0 - a1, alpha = gcd(n, a0*a2 - a1^2) and a0*a2 - a1^2 is
+    -(a0^2 + a0*a1 + a1^2) mod n.  As gcd(a0, a1, n) = 1, a prime q | n
+    divides that form only if t = a0/a1 mod q is a root of t^2 + t + 1,
+    and 9 divides it only for a root mod 9.  So every prime q | n (and 9,
+    when 9 | n) that the admissibility rule refuses must leave
+    t^2 + t + 1 without roots, and every refused alpha must be a multiple
+    of one of them; otherwise InternalVerificationFailed is raised.
     """
     if n < 3:
         raise NTooSmall(f"need n >= 3, got {n}")
@@ -299,27 +322,46 @@ def classify_triangles(n: int) -> ClassificationReport:
             witnesses={only: validate([1, 1, 1], 3, "geometric")},
             excluded=[(GroupDescriptor(3, 3, (3, 3)), "single-triangle-modulus")])
     admissible = {a for a in divisors(n) if _alpha_admissible(a)}
+    blockers = [m for m in [*prime_factorization(n), 9] if n % m == 0
+                and not _alpha_admissible(m)]
+    for m in blockers:
+        for t in range(m):
+            if (t * t + t + 1) % m == 0:
+                raise InternalVerificationFailed(
+                    f"triangle classification mismatch at n={n}: alpha={m} "
+                    f"is refused but t={t} solves t^2 + t + 1 = 0 mod {m}")
+    for alpha in divisors(n):
+        if alpha not in admissible and all(alpha % m for m in blockers):
+            raise InternalVerificationFailed(
+                f"triangle classification mismatch at n={n}: no refused prime "
+                f"or 9 divides the refused alpha={alpha}")
     found = {}
-    for a0 in range(1, n - 1):
-        for a1 in range(1, n - a0):
-            a2 = n - a0 - a1
-            if gcd(a0, a1, a2, n) != 1:
-                continue
-            alpha = gcd(n, a0 * a2 - a1 * a1)
-            if alpha not in found:
-                found[alpha] = (a0, a1, a2)
-    if set(found) != admissible:
+    triangles = ((a0, a1, n - a0 - a1)
+                 for a0 in range(1, n - 1) for a1 in range(1, n - a0))
+    for a0, a1, a2 in triangles:
+        if gcd(a0, a1, a2, n) != 1:
+            continue
+        alpha = gcd(n, a0 * a2 - a1 * a1)
+        if alpha not in admissible:
+            raise InternalVerificationFailed(
+                f"triangle classification mismatch at n={n}: "
+                f"{[a0, a1, a2]} has alpha={alpha}, predicted {sorted(admissible)}")
+        if alpha not in found:
+            found[alpha] = (a0, a1, a2)
+            if len(found) == len(admissible):
+                break
+    else:
         raise InternalVerificationFailed(
             f"triangle classification mismatch at n={n}: "
             f"search found alpha in {sorted(found)}, predicted {sorted(admissible)}")
     achievable = []
     witnesses = {}
     for alpha in sorted(admissible):
-        desc = GroupDescriptor(n, 3, tuple(d for d in (n, n // alpha) if d > 1))
+        desc = GroupDescriptor(n, 3, tuple([d for d in (n, n // alpha) if d > 1]))
         achievable.append(desc)
         witnesses[desc] = validate(found[alpha], n, "geometric")
     excluded = [
-        (GroupDescriptor(n, 3, tuple(d for d in (n, n // alpha) if d > 1)),
+        (GroupDescriptor(n, 3, tuple([d for d in (n, n // alpha) if d > 1])),
          "norm-form-admissibility")
         for alpha in divisors(n) if alpha not in admissible
     ]
@@ -360,7 +402,8 @@ def composite_feasible(k: int, n: int, deltas,
     combination has a geometric associate that is returned as a verified
     witness.
     """
-    deltas = tuple(int(d) for d in deltas if int(d) > 1)
+    # from a list, not a generator: see PolygonTuple.residues
+    deltas = tuple([int(d) for d in deltas if int(d) > 1])
     if k < 3:
         raise PreconditionFailed(f"need k >= 3, got {k}")
     if not deltas:
@@ -378,7 +421,7 @@ def composite_feasible(k: int, n: int, deltas,
         if q**k > per_prime_cap:
             raise CapExceeded(
                 f"prime power {q} needs {q**k} candidate tuples, cap is {per_prime_cap}")
-        target = tuple(x for x in (gcd(d, q) for d in deltas) if x > 1)
+        target = tuple([x for x in (gcd(d, q) for d in deltas) if x > 1])
         found = {}
         for cand in enumerate_algebraic(k, q):
             if deltas_of(cand) == target:

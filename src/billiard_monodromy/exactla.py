@@ -171,7 +171,8 @@ def smith_normal_form(A: list) -> SnfResult:
             row_add(t, culprit, 1)
         if D[t][t] < 0:
             row_negate(t)
-    return SnfResult(U, D, V, tuple(D[i][i] for i in range(limit)))
+    # from a list, not a generator: see PolygonTuple.residues
+    return SnfResult(U, D, V, tuple([D[i][i] for i in range(limit)]))
 
 
 def _local_divisors(A: list, p: int, e: int) -> list:

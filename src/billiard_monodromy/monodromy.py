@@ -48,7 +48,8 @@ class GroupDescriptor:
 
 
 def _canonical_deltas(raw) -> tuple:
-    out = tuple(d for d in raw if d > 1)
+    # from a list, not a generator: see PolygonTuple.residues
+    out = tuple([d for d in raw if d > 1])
     for a, b in zip(out, out[1:]):
         if a % b:
             raise AssertionError(f"delta chain broken: {out}")

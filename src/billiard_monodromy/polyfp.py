@@ -33,7 +33,8 @@ class FpPoly:
 
     @classmethod
     def make(cls, p: int, coeffs) -> "FpPoly":
-        return cls(p, _trim(tuple(int(c) % p for c in coeffs)))
+        # from a list, not a generator: see PolygonTuple.residues
+        return cls(p, _trim(tuple([int(c) % p for c in coeffs])))
 
     @property
     def degree(self) -> int:
@@ -84,7 +85,7 @@ def _add(p, a, b):
 
 
 def _neg(p, a):
-    return tuple(-c % p for c in a)
+    return tuple([-c % p for c in a])
 
 
 def _sub(p, a, b):
@@ -121,7 +122,7 @@ def _gcd_coeffs(p, a, b):
     while b:
         a, b = b, _divmod(p, a, b)[1]
     inv = pow(a[-1], -1, p)
-    return tuple(c * inv % p for c in a)
+    return tuple([c * inv % p for c in a])
 
 
 def _pow_mod(p, base, e, mod):
@@ -176,7 +177,7 @@ def gcd_poly(f: FpPoly, g: FpPoly) -> FpPoly:
         f, g = g, f
     if g.is_zero:
         inv = pow(f.coeffs[-1], -1, f.p)
-        return FpPoly(f.p, tuple(c * inv % f.p for c in f.coeffs))
+        return FpPoly(f.p, tuple([c * inv % f.p for c in f.coeffs]))
     return FpPoly(f.p, _gcd_coeffs(f.p, f.coeffs, g.coeffs))
 
 

