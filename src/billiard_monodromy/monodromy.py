@@ -1,10 +1,17 @@
-"""Group descriptors: the SNF route and the closed forms.
+"""Group descriptors: the invariant factors of N and the closed forms.
 
-The monodromy group of a tuple is N semidirect C_k where N is the column
-span of the circulant over Z/nZ.  Running the integer Smith normal form on
-the circulant and setting delta_i = n / gcd(d_i, n) gives N as the direct
-sum of C_{delta_i}; dropped trivial factors leave the canonical descending
-divisibility chain that descriptors compare by.
+The monodromy group of a tuple is N semidirect C_k, where N is the column
+span of the circulant over Z/nZ, that is the ideal that the associated
+polynomial a(x) = a_0 + a_1 x + ... + a_{k-1} x^{k-1} generates in
+(Z/nZ)[x]/(x^k - 1).  With d_i the integer SNF divisors of the circulant,
+delta_i = n / gcd(d_i, n) gives N as the direct sum of C_{delta_i}; dropped
+trivial factors leave the canonical descending divisibility chain that
+descriptors compare by.
+
+``deltas_of`` settles the gcds one prime power p^e of n at a time.  Two
+routes read the p-part off a single polynomial gcd over F_p; the prime
+powers neither route settles go to one modular elimination of the
+circulant, which is also the reference the tests hold the gcd routes to.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +22,7 @@ from . import oracle
 from .errors import PreconditionFailed
 from .exactla import circulant, invariant_factors_mod
 from .numtheory import prime_factorization
+from .polyfp import _gcd_coeffs, _trim, xk_minus_1
 from .polygon import PolygonTuple, validate
 
 DEFAULT_ACTION_CAP = 10_000
@@ -56,16 +64,60 @@ def _canonical_deltas(raw) -> tuple:
     return out
 
 
+def _local_by_gcd(t: PolygonTuple, p: int, e: int):
+    """gcd(d_i, p^e) for the circulant's SNF divisors d_i, ascending like
+    ``exactla._local_divisors``, or None when no gcd over F_p settles them.
+    """
+    k = t.k
+    # from a list, not a generator: see PolygonTuple.residues
+    a = _trim(tuple([x % p for x in t.entries]))
+    if e == 1:
+        g = len(_gcd_coeffs(p, xk_minus_1(k, p).coeffs, a)) - 1
+        return [1] * (k - g) + [p] * g
+    a1 = sum(t.entries)
+    # x - 1 divides 1 + x + ... + x^{k-1} mod p iff p | k, and a iff p | a(1)
+    if k % p == 0 and a1 % p == 0 or len(_gcd_coeffs(p, (1,) * k, a)) > 1:
+        return None
+    return [1] * (k - 1) + [gcd(a1, p**e)]
+
+
 def deltas_of(t: PolygonTuple) -> tuple:
     """Invariant factors of the tuple's N.
 
     delta_i = n / gcd(d_i, n) where d_i are the integer SNF divisors of the
-    circulant; the gcds are computed by the local prime-power reduction,
-    which agrees with the full integer SNF but cannot blow up.
+    circulant.  Each prime power p^e exactly dividing n contributes
+    gcd(d_i, p^e), the invariant factors of the ideal (a) in
+    (Z/p^e)[x]/(x^k - 1), found by the first route that applies:
+
+    - e = 1: F_p[x]/(x^k - 1) is a principal ideal ring, so (a) = (g) with
+      g = gcd(x^k - 1, a mod p), an F_p-space of dimension k - deg g.  The
+      local divisors are k - deg g ones and deg g copies of p, also when
+      p divides k, and a = 0 mod p gives g = x^k - 1.
+    - e >= 2 and gcd(1 + x + ... + x^{k-1}, a mod p) = 1: if p does not
+      divide k, x^k - 1 = (x - 1) * Phi with coprime factors that
+      Hensel-lift, so the ring splits as Z/p^e times (Z/p^e)[x]/(Phi), a is
+      a unit in the second factor and a(1) in the first.  If p divides k,
+      x - 1 divides Phi mod p, so the gcd is 1 only when a(1) is nonzero
+      mod p and a is a unit outright.  Either way the local divisors are
+      k - 1 ones and gcd(a(1), p^e), which is p^e for a validated tuple.
+      When p | k and p | a(1), x - 1 divides both, so the gcd is skipped.
+    - otherwise p^e joins the one call of ``invariant_factors_mod`` on the
+      product of the unsettled prime powers, the local prime-power
+      elimination that agrees with the full integer SNF but cannot blow up.
     """
     n = t.modulus
-    return _canonical_deltas(
-        n // d for d in invariant_factors_mod(circulant(t), n))
+    out = [1] * t.k
+    rest = 1
+    for p, e in prime_factorization(n).items():
+        local = _local_by_gcd(t, p, e)
+        if local is None:
+            rest *= p**e
+        else:
+            out = [x * y for x, y in zip(out, local)]
+    if rest > 1:
+        out = [x * y for x, y in
+               zip(out, invariant_factors_mod(circulant(t), rest))]
+    return _canonical_deltas([n // d for d in out])
 
 
 def group_of(t: PolygonTuple) -> GroupDescriptor:

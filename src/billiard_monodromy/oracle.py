@@ -81,7 +81,8 @@ def _mul(a, b):
     """The composite a . b: apply b first, then a."""
     if isinstance(a, bytes):
         return b.translate(a + bytes(256 - len(a)))
-    return tuple(a[x] for x in b)
+    # from a list, not a generator: see PolygonTuple.residues
+    return tuple([a[x] for x in b])
 
 
 def _inverse(a):
@@ -122,7 +123,8 @@ def _closure(generators, size, cap):
         nxt = []
         for g in frontier:
             for gen in generators:
-                h = tuple(gen[x] for x in g)
+                # from a list, not a generator: see PolygonTuple.residues
+                h = tuple([gen[x] for x in g])
                 if h not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(
@@ -151,7 +153,8 @@ def span_vectors(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> set:
     """Additive closure of the circulant columns inside (Z/nZ)^k."""
     n, k = t.modulus, t.k
     a = t.residues()
-    cols = [tuple(a[(i - j) % k] for i in range(k)) for j in range(k)]
+    # from a list, not a generator: see PolygonTuple.residues
+    cols = [tuple([a[(i - j) % k] for i in range(k)]) for j in range(k)]
     zero = (0,) * k
     seen = {zero}
     frontier = [zero]
@@ -159,7 +162,7 @@ def span_vectors(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> set:
         nxt = []
         for v in frontier:
             for col in cols:
-                w = tuple((x + y) % n for x, y in zip(v, col))
+                w = tuple([(x + y) % n for x, y in zip(v, col)])
                 if w not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(
@@ -304,7 +307,8 @@ def check_structure(t: PolygonTuple,
     vectors = {}
     translations_ok = True
     for h in N:
-        v = tuple(h[i] // k for i in range(k))
+        # from a list, not a generator: see PolygonTuple.residues
+        v = tuple([h[i] // k for i in range(k)])
         if any(h[m * k + i] != ((m + v[i]) % n) * k + i
                for m in range(n) for i in range(k)):
             translations_ok = False

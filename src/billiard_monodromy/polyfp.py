@@ -13,6 +13,7 @@ from itertools import product
 
 from .errors import (
     BothZero,
+    CapExceeded,
     DegreeTooLarge,
     ModulusNotPrime,
     NotEnoughAlphas,
@@ -22,6 +23,11 @@ from .errors import (
 )
 from .numtheory import is_prime
 from .polygon import PolygonTuple
+
+# trial divisions one equal-degree split may make: it tries up to p^(d-1)
+# monic candidates for the degree-d factors, so large p and d stop here.
+# About 5 s; x^13 - 1 over F_17, factored by the test suite, needs 428,627
+EQUAL_DEGREE_SPLIT_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,15 @@ def _equal_degree_split(p, g, d, m):
     constants = [c0 for c0 in range(1, p) if pow(sign * c0 % p, m, p) == 1]
     out = []
     rem = g
+    tried = 0
     for tail in product(range(p), repeat=d - 1):
         for c0 in constants:
+            if tried == EQUAL_DEGREE_SPLIT_CAP:
+                raise CapExceeded(
+                    f"splitting the degree-{d} factors of x^{m} - 1 over F_{p} "
+                    f"exceeded EQUAL_DEGREE_SPLIT_CAP={EQUAL_DEGREE_SPLIT_CAP} "
+                    f"trial divisions", partial=tried)
+            tried += 1
             cand = (c0,) + tail + (1,)
             q, r = _divmod(p, rem, cand)
             if not r:

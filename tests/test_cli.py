@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import billiard_monodromy
+from billiard_monodromy import polyfp
 from billiard_monodromy.cli import main
 
 
@@ -117,6 +118,19 @@ class TestFactor:
             {"coeffs": [4, 1], "multiplicity": 1},
             {"coeffs": [1, 1, 1], "multiplicity": 1},
         ]
+
+
+@pytest.mark.parametrize("command", ["factor", "classify-prime"])
+def test_equal_degree_split_cap_exit_code(capsys, monkeypatch, command):
+    # x^11 - 1 over F_31 has two quintic factors, the first found after
+    # 270,020 trial divisions; a lowered cap shows where the CLI stops
+    monkeypatch.setattr(polyfp, "EQUAL_DEGREE_SPLIT_CAP", 1000)
+    polyfp._factor_xk_minus_1_cached.cache_clear()
+    code, out, err = run(capsys, command, "--k", "11", "--p", "31")
+    assert (code, out) == (2, "")
+    assert err == ("cap exceeded: splitting the degree-5 factors of x^11 - 1 "
+                   "over F_31 exceeded EQUAL_DEGREE_SPLIT_CAP=1000 trial "
+                   "divisions\n")
 
 
 class TestEnumerate:

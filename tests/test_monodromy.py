@@ -17,9 +17,12 @@ from billiard_monodromy import (
     validate,
     xk_minus_1,
 )
+from billiard_monodromy import monodromy
 from billiard_monodromy.errors import PreconditionFailed
-from billiard_monodromy.monodromy import deltas_of
-from billiard_monodromy.numtheory import is_prime, units
+from billiard_monodromy.exactla import circulant, invariant_factors_mod
+from billiard_monodromy.monodromy import _canonical_deltas, deltas_of
+from billiard_monodromy.numtheory import is_prime, prime_factorization, units
+from billiard_monodromy.polygon import PolygonTuple
 from conftest import random_algebraic
 
 
@@ -142,3 +145,96 @@ def test_merge_invariant_factors():
     assert merge_invariant_factors((25, 5), ()) == (25, 5)
     assert merge_invariant_factors((4,), (3,), (5,)) == (60,)
     assert merge_invariant_factors((2, 2), (9, 3)) == (18, 6)
+
+
+# ---- the gcd routes of deltas_of against modular elimination ----
+
+ROUTE_PRIMES = [p for p in range(2, 200) if is_prime(p)] + [10007, 999983]
+
+
+def _route_moduli(rng, k):
+    """A prime not dividing k, the least prime q | k, q^e, p^e for a prime p
+    not dividing k, and a composite with several prime powers."""
+    q = min(prime_factorization(k))
+    p = next(p for p in ROUTE_PRIMES if k % p)
+    return (rng.choice([r for r in ROUTE_PRIMES if k % r]), q,
+            q ** rng.randint(2, 4), p ** rng.randint(2, 4),
+            rng.choice([720720, 10080, 360]))
+
+
+def _divisor(rng, n):
+    return prod(p ** rng.randint(0, e) for p, e in prime_factorization(n).items())
+
+
+def _zero_sum(rng, n, length):
+    a = [rng.randrange(n) for _ in range(length)]
+    a[-1] = (a[-1] - sum(a)) % n
+    return a
+
+
+def _route_entries(family, rng, k, n):
+    if family == "random":
+        return _zero_sum(rng, n, k)
+    if family == "periodic":
+        # period d | k: a(x) is a multiple of (x^k - 1) / (x^d - 1)
+        d = rng.choice([d for d in range(1, k) if k % d == 0])
+        block = _zero_sum(rng, n, d) if d > 1 else [rng.randrange(n)]
+        return block * (k // d)
+    if family == "cyclotomic":
+        # a(x) = (x^j - 1) b(x) mod x^k - 1 shares x^gcd(j, k) - 1 with x^k - 1
+        j = rng.randint(1, k - 1)
+        a = [0] * k
+        for i in range(k):
+            c = rng.randrange(n)
+            a[(i + j) % k] += c
+            a[i] -= c
+        return [x % n for x in a]
+    if family == "equal":
+        c = rng.randrange(n)
+        return [c * n // gcd(n, k) % n if rng.random() < 0.5 else c] * k
+    if family == "multiple":
+        m = _divisor(rng, n)
+        return [m * x % n for x in _zero_sum(rng, n, k)]
+    if family == "raw":
+        # sums off 0 mod n, some to a divisor of n so that v_p(a(1)) lies
+        # strictly between 0 and e
+        a = [rng.randrange(n) for _ in range(k)]
+        if rng.random() < 0.5:
+            a[-1] = (a[-1] - sum(a) + _divisor(rng, n)) % n
+        return a
+    raise ValueError(family)
+
+
+ROUTE_FAMILIES = ("random", "periodic", "cyclotomic", "equal", "multiple", "raw")
+
+
+@pytest.mark.parametrize("family", ROUTE_FAMILIES)
+def test_deltas_of_matches_elimination(family):
+    rng = random.Random(f"deltas-route-{family}")
+    for k in range(2, 34):
+        for n in _route_moduli(rng, k):
+            t = PolygonTuple(tuple(_route_entries(family, rng, k, n)), n)
+            assert deltas_of(t) == _canonical_deltas(
+                [n // d for d in invariant_factors_mod(circulant(t), n)]), t
+
+
+@pytest.mark.parametrize("entries,n,eliminated", [
+    ([1] * 31 + [720689], 720720, [16]),   # only 2^4 | k = 32 is unsettled
+    ([1, 2, 4, 999976], 999983, []),       # e = 1: one gcd
+    ([1, 2, 3, 19], 25, []),               # 5 does not divide k, gcd 1
+    ([5, 5, 5, 10], 25, [25]),             # 5 | a mod 5: gcd x^3 + ... + 1
+    ([1, 2, 3, 2], 8, [8]),                # 2 | k: x - 1 divides both
+])
+def test_deltas_of_eliminates_only_unsettled_prime_powers(
+        monkeypatch, entries, n, eliminated):
+    seen = []
+
+    def spy(A, m):
+        seen.append(m)
+        return invariant_factors_mod(A, m)
+
+    monkeypatch.setattr(monodromy, "invariant_factors_mod", spy)
+    t = PolygonTuple(tuple(entries), n)
+    assert deltas_of(t) == _canonical_deltas(
+        [n // d for d in invariant_factors_mod(circulant(t), n)])
+    assert seen == eliminated
