@@ -24,7 +24,12 @@ from .errors import (
     NTooSmall,
     PreconditionFailed,
 )
-from .monodromy import GroupDescriptor, deltas_of
+from .monodromy import (
+    GroupDescriptor,
+    _quadrilateral_deltas,
+    _triangle_deltas,
+    deltas_of,
+)
 from .numtheory import crt_pair, divisors, is_prime, prime_factorization, smallest_primitive_root
 from .polygon import (
     PolygonTuple,
@@ -134,19 +139,25 @@ def _subset_with_degree(rest, target):
     return chosen
 
 
-def _witness_poly_generic(k: int, p: int, d: int) -> FpPoly:
-    # p > k+1: pick a degree-d divisor g containing x-1, then close the
-    # zero gaps of g with linear factors whose roots avoid (x^k-1)/g
+def _generic_divisor(k: int, p: int, d: int):
+    # p > k+1: a degree-d divisor g of x^k - 1 containing x-1, and the roots
+    # of (x^k-1)/g; x^k - 1 is squarefree, so those are the roots of the
+    # linear factors left out of g
     factors = [f for f, _ in factor_xk_minus_1(k, p)]
     one = FpPoly(p, (p - 1, 1))
     rest = [f for f in factors if f != one]
     chosen = _subset_with_degree(rest, d - 1)
     if chosen is None:
         raise AssertionError("achievable d with no matching factor subset")
-    g = _poly_product([one] + chosen, p)
-    others = polyfp.divide_exact(xk_minus_1(k, p), g)
-    forbidden = frozenset(polyfp.roots(others))
-    f = g
+    forbidden = frozenset([-f.coeffs[0] % p for f in rest
+                           if f.degree == 1 and f not in chosen])
+    return _poly_product([one] + chosen, p), forbidden
+
+
+def _witness_poly_generic(k: int, p: int, d: int) -> FpPoly:
+    # p > k+1: close the zero gaps of the divisor g with linear factors
+    # whose roots avoid (x^k-1)/g
+    f, forbidden = _generic_divisor(k, p, d)
     for _ in range(k - 1 - d):
         _, f = close_zero_gap(f, forbidden)
     return f
@@ -293,6 +304,15 @@ def _alpha_admissible(alpha: int) -> bool:
     return True
 
 
+def _cube_root_of_unity_exists(m: int) -> bool:
+    # whether t^2 + t + 1 = 0 has a root mod m, for m prime or 9; for a
+    # prime q > 3 the roots are (-1 +- sqrt(-3))/2, so by Euler's
+    # criterion one exists iff (-3)^((q-1)/2) = 1 mod q
+    if m in (2, 3, 9):
+        return any((t * t + t + 1) % m == 0 for t in range(m))
+    return pow(-3 % m, (m - 1) // 2, m) == 1
+
+
 def classify_triangles(n: int) -> ClassificationReport:
     """All triangle groups (C_n x C_{n/alpha}) : C_3 for a modulus n.
 
@@ -310,7 +330,9 @@ def classify_triangles(n: int) -> ClassificationReport:
     and 9 divides it only for a root mod 9.  So every prime q | n (and 9,
     when 9 | n) that the admissibility rule refuses must leave
     t^2 + t + 1 without roots, and every refused alpha must be a multiple
-    of one of them; otherwise InternalVerificationFailed is raised.
+    of one of them; otherwise InternalVerificationFailed is raised.  For a
+    prime q > 3 the roots are read off Euler's criterion for -3, so the
+    certificate does not scan Z/q.
     """
     if n < 3:
         raise NTooSmall(f"need n >= 3, got {n}")
@@ -325,11 +347,10 @@ def classify_triangles(n: int) -> ClassificationReport:
     blockers = [m for m in [*prime_factorization(n), 9] if n % m == 0
                 and not _alpha_admissible(m)]
     for m in blockers:
-        for t in range(m):
-            if (t * t + t + 1) % m == 0:
-                raise InternalVerificationFailed(
-                    f"triangle classification mismatch at n={n}: alpha={m} "
-                    f"is refused but t={t} solves t^2 + t + 1 = 0 mod {m}")
+        if _cube_root_of_unity_exists(m):
+            raise InternalVerificationFailed(
+                f"triangle classification mismatch at n={n}: alpha={m} "
+                f"is refused but t^2 + t + 1 = 0 has a root mod {m}")
     for alpha in divisors(n):
         if alpha not in admissible and all(alpha % m for m in blockers):
             raise InternalVerificationFailed(
@@ -401,6 +422,10 @@ def composite_feasible(k: int, n: int, deltas,
     so every coordinate is nonzero somewhere, in which case the CRT
     combination has a geometric associate that is returned as a verified
     witness.
+
+    The local groups of the candidates come from the triangle and
+    quadrilateral closed forms for k = 3 and 4, and from ``deltas_of`` for
+    other k.  The witness is always re-verified by ``deltas_of``.
     """
     # from a list, not a generator: see PolygonTuple.residues
     deltas = tuple([int(d) for d in deltas if int(d) > 1])
@@ -415,6 +440,7 @@ def composite_feasible(k: int, n: int, deltas,
         if a % b != 0:
             raise PreconditionFailed(f"targets {deltas} are not a divisibility chain")
 
+    closed_form = {3: _triangle_deltas, 4: _quadrilateral_deltas}.get(k)
     patterns_by_q = {}
     for p, e in sorted(prime_factorization(n).items()):
         q = p**e
@@ -424,7 +450,9 @@ def composite_feasible(k: int, n: int, deltas,
         target = tuple([x for x in (gcd(d, q) for d in deltas) if x > 1])
         found = {}
         for cand in enumerate_algebraic(k, q):
-            if deltas_of(cand) == target:
+            local = (closed_form(*cand.entries, q) if closed_form
+                     else deltas_of(cand))
+            if local == target:
                 pattern = frozenset(
                     i for i, a in enumerate(cand.entries) if a == 0)
                 found.setdefault(pattern, cand)

@@ -141,8 +141,13 @@ def triangle_closed_form(a0: int, a1: int, a2: int, n: int) -> GroupDescriptor:
     to 0 mod n; the minor-based variant is the one implemented.
     """
     validate([a0, a1, a2], n, "algebraic")
+    return GroupDescriptor(n, 3, _triangle_deltas(a0, a1, a2, n))
+
+
+def _triangle_deltas(a0: int, a1: int, a2: int, n: int) -> tuple:
+    # canonical deltas of an algebraic triangle, which the caller vouches for
     alpha = gcd(n, a0 * a2 - a1 * a1)
-    return GroupDescriptor(n, 3, _canonical_deltas((n, n // alpha)))
+    return _canonical_deltas((n, n // alpha))
 
 
 def quadrilateral_closed_form(a0: int, a1: int, a2: int, a3: int,
@@ -156,19 +161,22 @@ def quadrilateral_closed_form(a0: int, a1: int, a2: int, a3: int,
     d3 = n too.
     """
     validate([a0, a1, a2, a3], n, "algebraic")
+    return GroupDescriptor(n, 4, _quadrilateral_deltas(a0, a1, a2, a3, n))
+
+
+def _quadrilateral_deltas(a0: int, a1: int, a2: int, a3: int, n: int) -> tuple:
+    # canonical deltas of an algebraic quadrilateral, which the caller
+    # vouches for; a3 enters only through a3 = -a0-a1-a2 mod n
     b3 = -a0 - a1 - a2
-    minors = (a0 * a2 - b3 * b3, a0 * a1 - a2 * b3, a0 * a0 - a2 * a2,
-              a1 * b3 - a2 * a2, a0 * b3 - a1 * a2, a0 * a2 - a1 * a1)
-    g2 = 0
-    for m in minors:
-        g2 = gcd(g2, m)
+    g2 = gcd(a0 * a2 - b3 * b3, a0 * a1 - a2 * b3, a0 * a0 - a2 * a2,
+             a1 * b3 - a2 * a2, a0 * b3 - a1 * a2, a0 * a2 - a1 * a1)
     d2 = gcd(g2, n)
     if d2 == n:
         d3 = n
     else:
         det3 = -(a0 + a2) * ((a0 + a1) ** 2 + (a1 + a2) ** 2)
         d3 = gcd(det3 // g2, n)
-    return GroupDescriptor(n, 4, _canonical_deltas((n, n // d2, n // d3)))
+    return _canonical_deltas((n, n // d2, n // d3))
 
 
 def regular_kgon(k: int) -> GroupDescriptor:

@@ -9,7 +9,7 @@ zero-gap toolkit used by the witness constructions.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from math import gcd
 
 from .errors import (
     BothZero,
@@ -21,7 +21,7 @@ from .errors import (
     PreconditionFailed,
     ZeroPolynomial,
 )
-from .numtheory import is_prime
+from .numtheory import is_prime, prime_factorization
 from .polygon import PolygonTuple
 
 # trial divisions one equal-degree split may make: it tries up to p^(d-1)
@@ -217,20 +217,48 @@ def roots(f: FpPoly) -> list:
     return [x for x in range(f.p) if f(x) == 0]
 
 
+def _roots_of_unity(p, r):
+    # the z in F_p with z^r = 1, ascending, for r dividing p - 1: the powers
+    # of an element of order r, taken as the first x^((p-1)/r) of no
+    # smaller order, so neither F_p nor the factors of p - 1 are searched
+    primes = prime_factorization(r)
+    for x in range(1, p):
+        z = pow(x, (p - 1) // r, p)
+        if all(pow(z, r // q, p) != 1 for q in primes):
+            return sorted([pow(z, i, p) for i in range(r)])
+    raise ArithmeticError(f"no element of order {r} mod {p}")
+
+
+def _lex_tuples(p, n):
+    # product(range(p), repeat=n) in the same order, but lazy: product
+    # first copies range(p) into a tuple, which for a large p exhausts memory
+    digits = [0] * n
+    while True:
+        yield tuple(digits)
+        i = n - 1
+        while i >= 0 and digits[i] == p - 1:
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
+
+
 def _equal_degree_split(p, g, d, m):
     # g divides x^m - 1, squarefree, every irreducible factor of degree d
     if len(g) - 1 == d:
         return [g]
     if d == 1:
-        return [(-r % p, 1) for r in roots(FpPoly(p, g))]
+        # g is the product of the linear factors, x^r - 1 with r = deg g
+        return [(-z % p, 1) for z in _roots_of_unity(p, len(g) - 1)]
     # the constant term of a degree-d factor is (-1)^d times the norm of a
     # root, hence (-1)^d times an m-th root of unity in F_p
     sign = (-1) ** d % p
-    constants = [c0 for c0 in range(1, p) if pow(sign * c0 % p, m, p) == 1]
+    constants = sorted([sign * z % p for z in _roots_of_unity(p, gcd(m, p - 1))])
     out = []
     rem = g
     tried = 0
-    for tail in product(range(p), repeat=d - 1):
+    for tail in _lex_tuples(p, d - 1):
         for c0 in constants:
             if tried == EQUAL_DEGREE_SPLIT_CAP:
                 raise CapExceeded(

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionFailed,
     SumMismatch,
 )
-from .numtheory import is_prime, units
+from .numtheory import is_prime
 
 
 @dataclass(frozen=True)
@@ -145,25 +145,21 @@ def find_geometric_associate(t: PolygonTuple) -> Optional[PolygonTuple]:
 
     When no entry vanishes mod n, scale so the minimum-gcd entry (lowest
     index on ties) becomes its gcd with n, which forces the residue sum under
-    (k-2)n, then pad.  With a zero entry no unit can clear it, but all phi(n)
-    units are tried so the search is complete by exhaustion.
+    (k-2)n, then pad.  A zero entry gives None: every unit multiple keeps
+    it, and a geometric entry is never 0 mod n.
     """
     n, k = t.modulus, t.k
     if k < 3:
         raise KTooSmall(f"geometric associates need k >= 3, got k={k}")
     res = t.residues()
-    if all(res):
-        gcds = [gcd(a, n) for a in res]
-        idx = gcds.index(min(gcds))
-        out = pad_to_geometric(scale_associate(t, _scaling_unit(res[idx], n)))
-        if out is None:
-            raise AssertionError("minimum-gcd scaling must land under (k-2)n")
-        return out
-    for c in units(n):
-        out = pad_to_geometric(scale_associate(t, c))
-        if out is not None:
-            return out
-    return None
+    if not all(res):
+        return None
+    gcds = [gcd(a, n) for a in res]
+    idx = gcds.index(min(gcds))
+    out = pad_to_geometric(scale_associate(t, _scaling_unit(res[idx], n)))
+    if out is None:
+        raise AssertionError("minimum-gcd scaling must land under (k-2)n")
+    return out
 
 
 def find_convex_associate(t: PolygonTuple, p: int) -> Optional[PolygonTuple]:

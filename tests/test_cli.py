@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -120,6 +121,28 @@ class TestFactor:
         ]
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["factor", "--k", "4", "--p", "1000000007"],
+     ["(x+1 (mod 1000000007))", "(x+1000000006 (mod 1000000007))",
+      "(x^2+1 (mod 1000000007))"]),
+    # p = 2q + 1 with q prime: finding roots of unity must not factor p - 1
+    (["factor", "--k", "4", "--p", "1000000000000007243"],
+     ["(x+1 (mod 1000000000000007243))",
+      "(x+1000000000000007242 (mod 1000000000000007243))",
+      "(x^2+1 (mod 1000000000000007243))"]),
+    (["classify-triangle", "--n", "1000000007"],
+     ["(C1000000007 x C1000000007) : C3, order 3000000042000000147  "
+      "witness [1, 1, 1000000005] (mod 1000000007)",
+      "excluded: (C1000000007) : C3  [norm-form-admissibility]"]),
+], ids=["factor", "factor-safe-prime", "classify-triangle"])
+def test_large_prime_needs_no_scan_of_the_field(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines() == expected
+
+
 @pytest.mark.parametrize("command", ["factor", "classify-prime"])
 def test_equal_degree_split_cap_exit_code(capsys, monkeypatch, command):
     # x^11 - 1 over F_31 has two quintic factors, the first found after
@@ -131,6 +154,18 @@ def test_equal_degree_split_cap_exit_code(capsys, monkeypatch, command):
     assert err == ("cap exceeded: splitting the degree-5 factors of x^11 - 1 "
                    "over F_31 exceeded EQUAL_DEGREE_SPLIT_CAP=1000 trial "
                    "divisions\n")
+
+
+def test_equal_degree_split_cap_on_a_large_prime(capsys, monkeypatch):
+    # x^7 - 1 has three quadratic factors over this F_p; the candidates are
+    # drawn lazily, so the split reaches its cap instead of exhausting memory
+    monkeypatch.setattr(polyfp, "EQUAL_DEGREE_SPLIT_CAP", 1000)
+    polyfp._factor_xk_minus_1_cached.cache_clear()
+    code, out, err = run(capsys, "factor", "--k", "7", "--p", "1000000000000007243")
+    assert (code, out) == (2, "")
+    assert err == ("cap exceeded: splitting the degree-2 factors of x^7 - 1 "
+                   "over F_1000000000000007243 exceeded "
+                   "EQUAL_DEGREE_SPLIT_CAP=1000 trial divisions\n")
 
 
 class TestEnumerate:

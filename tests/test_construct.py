@@ -20,7 +20,11 @@ from billiard_monodromy import (
     validate,
 )
 from billiard_monodromy import construct
-from billiard_monodromy.construct import _subset_with_degree
+from billiard_monodromy.construct import (
+    _cube_root_of_unity_exists,
+    _generic_divisor,
+    _subset_with_degree,
+)
 from billiard_monodromy.errors import (
     BadFactorization,
     CapExceeded,
@@ -35,7 +39,7 @@ from billiard_monodromy.errors import (
 )
 from billiard_monodromy.monodromy import GroupDescriptor, deltas_of
 from billiard_monodromy.numtheory import divisors, is_prime, prime_factorization
-from billiard_monodromy.polyfp import factor_xk_minus_1
+from billiard_monodromy.polyfp import divide_exact, factor_xk_minus_1, roots, xk_minus_1
 from conftest import random_algebraic
 
 TWELVE_GON_MOD_35 = (22, 23, 18, 22, 2, 18, 8, 2, 32, 8, 23, 32)
@@ -205,6 +209,18 @@ def test_subset_with_degree_matches_combinations():
             assert _subset_with_degree(factors, target) == slow, (k, p, target)
 
 
+def test_generic_forbidden_roots_match_cofactor_roots():
+    # slow route: the roots of (x^k - 1)/g, found by dividing and scanning F_p
+    for k, p, _ in _factor_lists():
+        if p <= k + 1:
+            continue
+        for d in achievable_d_set(k, p):
+            g, forbidden = _generic_divisor(k, p, d)
+            assert g.degree == d, (k, p, d)
+            slow = roots(divide_exact(xk_minus_1(k, p), g))
+            assert forbidden == frozenset(slow), (k, p, d)
+
+
 class TestConstructPrimeCase:
     def test_divisor_route(self):
         assert construct_prime_case(4, 5, 2).entries == (4, 4, 1, 1)
@@ -342,6 +358,11 @@ class TestClassifyTriangles:
              1900])
         assert classify_triangles(2707).to_json_dict() == _triangle_report(
             2707, {1: (1, 1, 2705), 2707: (1, 1327, 1379)}, [])
+
+    def test_cube_root_criterion_matches_scan(self):
+        for q in [*(q for q in range(2, 10**4) if is_prime(q)), 9]:
+            scan = any((t * t + t + 1) % q == 0 for t in range(q))
+            assert _cube_root_of_unity_exists(q) == scan, q
 
     def test_refusing_an_occurring_prime_fails_the_certificate(self, monkeypatch):
         admissible = construct._alpha_admissible

@@ -5,6 +5,7 @@ import pytest
 
 from billiard_monodromy import (
     GroupDescriptor,
+    enumerate_algebraic,
     enumerate_geometric,
     from_tuple,
     gcd_poly,
@@ -20,7 +21,12 @@ from billiard_monodromy import (
 from billiard_monodromy import monodromy
 from billiard_monodromy.errors import PreconditionFailed
 from billiard_monodromy.exactla import circulant, invariant_factors_mod
-from billiard_monodromy.monodromy import _canonical_deltas, deltas_of
+from billiard_monodromy.monodromy import (
+    _canonical_deltas,
+    _quadrilateral_deltas,
+    _triangle_deltas,
+    deltas_of,
+)
 from billiard_monodromy.numtheory import is_prime, prime_factorization, units
 from billiard_monodromy.polygon import PolygonTuple
 from conftest import random_algebraic
@@ -100,6 +106,23 @@ class TestQuadrilateralClosedForm:
             for t in enumerate_geometric(4, n):
                 a0, a1, a2, a3 = t.entries
                 assert quadrilateral_closed_form(a0, a1, a2, a3, n).deltas == deltas_of(t)
+
+
+@pytest.mark.parametrize("k,lo,hi", [
+    (3, 2, 37),
+    (4, 2, 11),
+    pytest.param(3, 38, 100, marks=pytest.mark.slow),
+    pytest.param(4, 12, 31, marks=pytest.mark.slow),
+])
+def test_closed_form_cores_match_general_route(k, lo, hi):
+    # every algebraic tuple, zero entries included, at each prime power q in
+    # [lo, hi]: the composite search's candidates at its default cap
+    core = {3: _triangle_deltas, 4: _quadrilateral_deltas}[k]
+    for q in range(lo, hi + 1):
+        if len(prime_factorization(q)) != 1:
+            continue
+        for t in enumerate_algebraic(k, q):
+            assert core(*t.entries, q) == deltas_of(t), t
 
 
 class TestRegularKgon:

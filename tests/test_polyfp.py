@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -26,6 +27,7 @@ from billiard_monodromy.errors import (
     PDividesK,
     ZeroPolynomial,
 )
+from billiard_monodromy.numtheory import is_prime
 from billiard_monodromy.polygon import enumerate_algebraic
 
 
@@ -143,6 +145,29 @@ class TestFactorXkMinus1:
                     for d in range(1, f.degree + 1):
                         h = polyfp._pow_mod(p, (0, 1), p**d, f.coeffs)
                         assert (h == (0, 1)) == (d == f.degree)
+
+
+def test_roots_of_unity_match_scans():
+    # slow route: scan F_p for the roots and the candidate constants of the
+    # equal-degree split
+    for p in (q for q in range(2, 400) if is_prime(q)):
+        for m in range(1, 60):
+            if m % p == 0:
+                continue
+            r = gcd(m, p - 1)
+            scan = [z for z in range(1, p) if pow(z, m, p) == 1]
+            found = polyfp._roots_of_unity(p, r)
+            assert found == scan, (p, m)
+            linear = polyfp._equal_degree_split(p, xk_minus_1(r, p).coeffs, 1, m)
+            assert linear == [(-z % p, 1) for z in scan], (p, m)
+            assert sorted([-z % p for z in found]) == [
+                c for c in range(1, p) if pow(-c % p, m, p) == 1], (p, m)
+
+
+def test_lex_tuples_match_product():
+    for p in range(2, 6):
+        for n in range(4):
+            assert list(polyfp._lex_tuples(p, n)) == list(product(range(p), repeat=n))
 
 
 class TestCosetDegrees:

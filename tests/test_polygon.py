@@ -8,6 +8,7 @@ from billiard_monodromy import (
     enumerate_geometric,
     find_convex_associate,
     find_geometric_associate,
+    pad_to_geometric,
     scale_associate,
     validate,
 )
@@ -118,6 +119,22 @@ class TestGeometricAssociate:
     def test_zero_entry_has_no_associate(self):
         assert find_geometric_associate(validate([1, 1, 0], 2)) is None
         assert find_geometric_associate(validate([1, 0, 4], 5)) is None
+
+    @pytest.mark.parametrize("k,lo,hi", [
+        (3, 2, 40),
+        (4, 2, 20),
+        pytest.param(4, 21, 40, marks=pytest.mark.slow),
+    ])
+    def test_zero_entry_matches_unit_scan(self, k, lo, hi):
+        # slow route: try every unit multiple for a paddable one
+        for n in range(lo, hi + 1):
+            units = [c for c in range(1, n) if gcd(c, n) == 1]
+            for t in enumerate_algebraic(k, n):
+                if all(t.entries):
+                    continue
+                assert find_geometric_associate(t) is None
+                assert not any(pad_to_geometric(scale_associate(t, c))
+                               for c in units), t
 
     def test_output_is_unit_multiple(self):
         rng = random.Random(13)
