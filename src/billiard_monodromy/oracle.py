@@ -8,13 +8,16 @@ enumerated directly as the additive span of the circulant columns.  Nothing
 here touches the exact linear algebra module, so the two routes to the
 group structure stay independent.
 
-Permutations are stored as bytes when n*k <= 256 (composition is then a
-single ``bytes.translate``) and as tuples otherwise.
+Permutations are stored as bytes when n*k <= 256 and as tuples otherwise.
+A composite a . b is one C-level call either way: ``b.translate`` through
+a's 256-entry table (built once per left factor, see ``_table``), or an
+``itemgetter`` over b's entries applied to a.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CapExceeded
@@ -73,64 +76,69 @@ def _pack(perm, size):
     return bytes(perm) if size <= 256 else tuple(perm)
 
 
-def _identity(size):
-    return bytes(range(size)) if size <= 256 else tuple(range(size))
+def _like(a, values):
+    """values in the encoding of the permutation a."""
+    return bytes(values) if isinstance(a, bytes) else tuple(values)
+
+
+def _table(a):
+    """a, prepared once as the left factor of many composites.
+
+    A bytes permutation becomes its 256-entry ``translate`` table; a tuple
+    is its own table.
+    """
+    return a + bytes(256 - len(a)) if isinstance(a, bytes) else a
+
+
+def _right(b):
+    """b as the right factor: ``_right(b)(_table(a))`` is a . b."""
+    return b.translate if isinstance(b, bytes) else itemgetter(*b)
 
 
 def _mul(a, b):
     """The composite a . b: apply b first, then a."""
-    if isinstance(a, bytes):
-        return b.translate(a + bytes(256 - len(a)))
-    # from a list, not a generator: see PolygonTuple.residues
-    return tuple([a[x] for x in b])
+    return _right(b)(_table(a))
 
 
 def _inverse(a):
     out = [0] * len(a)
     for x, y in enumerate(a):
         out[y] = x
-    return bytes(out) if isinstance(a, bytes) else tuple(out)
+    return _like(a, out)
 
 
 def _power(a, e):
-    out = _identity(len(a))
+    out = _like(a, range(len(a)))
+    table = _table(a)
     for _ in range(e):
-        out = _mul(a, out)
+        out = _right(out)(table)
     return out
 
 
-def _closure(generators, size, cap):
-    """All products of the generators, by breadth-first multiplication."""
-    seen = {_identity(size)}
+def _closure(generators, size, cap, name="group"):
+    """All products of the generators, by breadth-first multiplication.
+
+    ``name`` says which cap governs the closure in the CapExceeded message.
+    """
+    seen = {_like(generators[0], range(size))}
     frontier = list(seen)
-    if isinstance(generators[0], bytes):
-        tables = [g + bytes(256 - size) for g in generators]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for tb in tables:
-                    h = g.translate(tb)
-                    if h not in seen:
-                        if len(seen) >= cap:
-                            raise CapExceeded(
-                                f"group closure exceeded cap {cap}",
-                                partial=len(seen))
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return seen
+    tables = [_table(g) for g in generators]
+    packed = isinstance(generators[0], bytes)
     while frontier:
         nxt = []
         for g in frontier:
-            for gen in generators:
-                # from a list, not a generator: see PolygonTuple.residues
-                h = tuple([gen[x] for x in g])
-                if h not in seen:
-                    if len(seen) >= cap:
+            # each new element gen . g, with g as the right factor
+            times_g = g.translate if packed else itemgetter(*g)
+            for table in tables:
+                h = times_g(table)
+                # one hash per product: a tuple does not cache its hash
+                count = len(seen)
+                seen.add(h)
+                if len(seen) > count:
+                    if count >= cap:
                         raise CapExceeded(
-                            f"group closure exceeded cap {cap}",
-                            partial=len(seen))
-                    seen.add(h)
+                            f"{name} closure exceeded cap {cap}",
+                            partial=count)
                     nxt.append(h)
         frontier = nxt
     return seen
@@ -265,66 +273,64 @@ def check_structure(t: PolygonTuple,
     pp = build_permutations(t)
     n, k = pp.n, pp.k
     s0, s1, size = _packed_pair(pp)
-    ident = _identity(size)
+    ident = _like(s0, range(size))
 
     G = _closure([s0, s1], size, group_cap)
 
-    pair_gens = []
-    for x in range(1, k):
-        pair_gens.append(_mul(_power(s0, x), _power(s1, x)))
+    pair_gens = [_mul(_power(s0, x), _power(s1, x)) for x in range(1, k)]
     commute = all(_mul(a, b) == _mul(b, a)
                   for i, a in enumerate(pair_gens)
                   for b in pair_gens[i + 1:])
 
     # the translation subgroup is the span, so the span cap governs it
-    N = _closure(pair_gens, size, span_cap) if pair_gens else {ident}
+    N = _closure(pair_gens, size, span_cap, "span") if pair_gens else {ident}
 
-    # g fixes every second coordinate iff g[x] = x (mod k) for all x
-    if isinstance(ident, bytes):
-        coord = bytes(x % k for x in range(size)) + bytes(256 - size)
-        pattern = ident.translate(coord)
-        fixes = lambda g: g.translate(coord) == pattern
-    else:
-        fixes = lambda g: all(y % k == x % k for x, y in enumerate(g))
-    stabilizer = {g for g in G if fixes(g)}
+    # g fixes every second coordinate iff coord . g == coord, where
+    # coord[x] = x mod k
+    coord = _like(s0, [x % k for x in range(size)])
+    coord_table = _table(coord)
+    stabilizer = {g for g in G if _right(g)(coord_table) == coord}
     fixed_subgroup_ok = stabilizer == N
 
     s0_inv, s1_inv = _inverse(s0), _inverse(s1)
-    normal_ok = all(
-        _mul(g, _mul(h, gi)) in N
-        for g, gi in ((s0, s0_inv), (s1, s1_inv))
-        for h in N)
-
     rot_powers = [_power(s0, j) for j in range(k)]
     intersection_ok = all(r not in N for r in rot_powers[1:])
 
-    product = {_mul(h, r) for h in N for r in rot_powers}
-    product_ok = product == G
-
-    order_ok = len(G) == k * len(N)
-
-    # translation vectors and the conjugation action
-    vectors = {}
-    translations_ok = True
+    # One pass over N checks normality, the product, the translations and
+    # the conjugation action, with each h prepared as a left factor once.
+    s0_table, s1_table = _table(s0), _table(s1)
+    times_s0_inv, times_s1_inv = _right(s0_inv), _right(s1_inv)
+    times_rot = [_right(r) for r in rot_powers]
+    # column i of the identity, twice over: its rotation by v is [v:v+n]
+    columns = [ident[i::k] * 2 for i in range(k)]
+    normal_ok = translations_ok = shift_ok = action_trivial = True
+    product = set()
     for h in N:
-        # from a list, not a generator: see PolygonTuple.residues
-        v = tuple([h[i] // k for i in range(k)])
-        if any(h[m * k + i] != ((m + v[i]) % n) * k + i
-               for m in range(n) for i in range(k)):
+        h_table = _table(h)
+        conj = _right(times_s0_inv(h_table))(s0_table)     # s0 h s0^-1
+        conj_in_n = conj in N
+        if normal_ok:
+            normal_ok = (conj_in_n and
+                         _right(times_s1_inv(h_table))(s1_table) in N)
+        product.update([times(h_table) for times in times_rot])
+        # h translates by v iff each column of h is the identity's column
+        # rotated by v_i
+        v = tuple([y // k for y in h[:k]])
+        if translations_ok and any(h[i::k] != columns[i][v[i]:v[i] + n]
+                                   for i in range(k)):
             translations_ok = False
-            break
-        vectors[h] = v
-    shift_ok = translations_ok
-    action_trivial = True
-    if translations_ok:
-        for h, v in vectors.items():
-            conj = _mul(s0, _mul(h, s0_inv))
+        if shift_ok:
             rotated = v[-1:] + v[:-1]
-            if conj not in vectors or vectors[conj] != rotated:
+            if not conj_in_n or tuple([y // k for y in conj[:k]]) != rotated:
                 shift_ok = False
-                break
-            if rotated != v:
+            elif rotated != v:
                 action_trivial = False
+    product_ok = product == G
+    order_ok = len(G) == k * len(N)
+    # the conjugation clause reads translation vectors, so it needs them
+    if not translations_ok:
+        shift_ok = False
+        action_trivial = True
 
     return StructureReport(
         n=n,

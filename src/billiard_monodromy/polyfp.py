@@ -8,7 +8,7 @@ zero-gap toolkit used by the witness constructions.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -28,6 +28,10 @@ from .polygon import PolygonTuple
 # monic candidates for the degree-d factors, so large p and d stop here.
 # About 5 s; x^13 - 1 over F_17, factored by the test suite, needs 428,627
 EQUAL_DEGREE_SPLIT_CAP = 500_000
+
+# factorizations of x^k - 1 kept, least recently used dropped first; well
+# above the 266 (k, p) pairs the classify benchmark revisits, so those hit
+FACTOR_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,7 @@ def _factor_squarefree_xm1(m, p):
     return found
 
 
-@cache
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _factor_xk_minus_1_cached(k, p):
     e = 0
     m = k

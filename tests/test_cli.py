@@ -105,6 +105,18 @@ class TestVerify:
         assert doc["group_order"] == 28
         assert roundtrip(out.strip()) == out.strip()
 
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["group", "--verify"], ["verify", "--json"]])
+    @pytest.mark.parametrize("flag,closure", [
+        ("--max-span", "span"), ("--max-group", "group")])
+    def test_cap_names_the_closure(self, capsys, command, flag, closure):
+        # |N| = 125 and |G| = 500: a cap of 99 stops the closure it governs
+        code, out, err = run(capsys, *command, "--n", "5", "--tuple", "2,2,2,4",
+                             flag, "99")
+        assert code == 2
+        assert out == ""
+        assert err == f"cap exceeded: {closure} closure exceeded cap 99\n"
+
 
 class TestFactor:
     def test_text(self, capsys):

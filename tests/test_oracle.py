@@ -7,19 +7,24 @@ from billiard_monodromy import (
     build_permutations,
     check_structure,
     group_order,
+    oracle,
+    quadrilateral_closed_form,
+    triangle_closed_form,
     span_invariants,
     span_vectors,
     validate,
 )
 from billiard_monodromy import EdgeLabel
 from billiard_monodromy.errors import CapExceeded
-from billiard_monodromy.monodromy import deltas_of
+from billiard_monodromy.monodromy import deltas_of, group_of
 from billiard_monodromy.oracle import (
     _closure,
-    _identity,
+    _inverse,
     _mul,
+    _pack,
     _packed_pair,
     _power,
+    PermutationPair,
     edge_index,
     edge_label,
 )
@@ -60,8 +65,8 @@ class TestBuildPermutations:
             pp = build_permutations(t)
             size = t.modulus * t.k
             s0, s1, _ = _packed_pair(pp)
-            assert _power(s0, t.k) == _identity(size)
-            assert _power(s1, t.k) == _identity(size)
+            assert _power(s0, t.k) == _pack(range(size), size)
+            assert _power(s1, t.k) == _pack(range(size), size)
 
     def test_pair_power_closed_form(self):
         # sigma0^x sigma1^x sends (m, i) to (m - sum_{j=i-x}^{i-1} a_j, i)
@@ -171,3 +176,201 @@ def test_group_order_is_k_times_span_order():
         inv = span_invariants(t)
         assert group_order(build_permutations(t)) == t.k * inv.order
         assert inv.order == prod(inv.factors)
+
+
+# ---- broken permutation pairs ----
+
+def _swap_s1(pp):
+    s1 = list(pp.sigma1)
+    s1[0], s1[1] = s1[1], s1[0]
+    return pp.sigma0, tuple(s1)
+
+
+def _s1_is_s0(pp):
+    return pp.sigma0, pp.sigma0
+
+
+def _s0_transposition(pp):
+    s0 = list(range(len(pp.sigma0)))
+    s0[0], s0[1] = 1, 0
+    return tuple(s0), pp.sigma1
+
+
+def _square_s1(pp):
+    return pp.sigma0, tuple([pp.sigma1[x] for x in pp.sigma1])
+
+
+def _square_s0(pp):
+    return tuple([pp.sigma0[x] for x in pp.sigma0]), pp.sigma1
+
+
+MUTATIONS = {"swap_s1": _swap_s1, "s1_is_s0": _s1_is_s0,
+             "s0_transposition": _s0_transposition,
+             "square_s1": _square_s1, "square_s0": _square_s0}
+
+CLAUSES = ("pair_powers_commute", "translations_by_vectors",
+           "second_coordinate_subgroup", "normal", "trivial_intersection",
+           "product_covers_group", "order_is_k_times_n",
+           "conjugation_is_cyclic_shift")
+
+
+def _break(monkeypatch, mutation):
+    """Make check_structure see the pair that ``mutation`` makes of the
+    true one."""
+    real = build_permutations
+
+    def broken(t):
+        pp = real(t)
+        return PermutationPair(pp.n, pp.k, *MUTATIONS[mutation](pp))
+
+    monkeypatch.setattr(oracle, "build_permutations", broken)
+
+
+# mutation, entries, n, |G|, |N|, the clauses that fail
+BROKEN_REPORTS = [
+    ("swap_s1", [1, 1, 1], 3, 162, 162,
+     {"pair_powers_commute", "translations_by_vectors",
+      "second_coordinate_subgroup", "trivial_intersection",
+      "order_is_k_times_n", "conjugation_is_cyclic_shift"}),
+    ("swap_s1", [1, 2], 3, 48, 6,
+     {"translations_by_vectors", "second_coordinate_subgroup", "normal",
+      "product_covers_group", "order_is_k_times_n",
+      "conjugation_is_cyclic_shift"}),
+    ("s1_is_s0", [1, 1, 1], 3, 3, 3,
+     {"translations_by_vectors", "second_coordinate_subgroup",
+      "trivial_intersection", "order_is_k_times_n",
+      "conjugation_is_cyclic_shift"}),
+    ("s1_is_s0", [2, 2, 2, 4], 5, 4, 2,
+     {"translations_by_vectors", "second_coordinate_subgroup",
+      "trivial_intersection", "order_is_k_times_n",
+      "conjugation_is_cyclic_shift"}),
+    ("s0_transposition", [1, 1, 1], 3, 24, 24,
+     {"pair_powers_commute", "translations_by_vectors",
+      "second_coordinate_subgroup", "trivial_intersection",
+      "order_is_k_times_n", "conjugation_is_cyclic_shift"}),
+    ("s0_transposition", [1, 2], 3, 8, 4,
+     {"translations_by_vectors", "second_coordinate_subgroup",
+      "conjugation_is_cyclic_shift"}),
+    ("square_s1", [1, 1, 1], 3, 9, 3,
+     {"translations_by_vectors", "second_coordinate_subgroup",
+      "conjugation_is_cyclic_shift"}),
+    ("square_s1", [2, 2, 2, 4], 5, 100, 100,
+     {"pair_powers_commute", "translations_by_vectors",
+      "second_coordinate_subgroup", "trivial_intersection",
+      "order_is_k_times_n", "conjugation_is_cyclic_shift"}),
+    ("square_s0", [1, 1, 1], 3, 9, 3,
+     {"translations_by_vectors", "second_coordinate_subgroup",
+      "conjugation_is_cyclic_shift"}),
+    ("square_s0", [2, 2, 2, 4], 5, 100, 100,
+     {"pair_powers_commute", "translations_by_vectors",
+      "second_coordinate_subgroup", "trivial_intersection",
+      "order_is_k_times_n", "conjugation_is_cyclic_shift"}),
+]
+
+
+class TestBrokenPairs:
+    @pytest.mark.parametrize("mutation,entries,n,order,n_order,failing",
+                             BROKEN_REPORTS)
+    def test_report(self, monkeypatch, mutation, entries, n, order, n_order,
+                    failing):
+        _break(monkeypatch, mutation)
+        rep = check_structure(validate(entries, n))
+        assert (rep.n, rep.k) == (n, len(entries))
+        assert (rep.group_order, rep.translation_order) == (order, n_order)
+        # without translations there is no action to call non-trivial
+        assert rep.action_trivial
+        assert list(rep.clauses) == list(CLAUSES)
+        assert rep.clauses == {c: c not in failing for c in CLAUSES}
+
+    def test_every_clause_fails_somewhere(self):
+        failed = set().union(*(row[-1] for row in BROKEN_REPORTS))
+        assert failed == set(CLAUSES)
+        assert {row[0] for row in BROKEN_REPORTS} == set(MUTATIONS)
+
+
+# ---- the bytes and tuple encodings ----
+
+def _both_encodings(t):
+    pp = build_permutations(t)
+    return ((bytes(pp.sigma0), bytes(pp.sigma1)),
+            (tuple(pp.sigma0), tuple(pp.sigma1)))
+
+
+class TestEncodings:
+    """Small tuples run through the tuple encoding too, and must agree."""
+
+    def test_closures_and_composites_agree(self):
+        rng = random.Random(89)
+        for _ in range(30):
+            t = random_algebraic(rng, k_lo=2, k_hi=5, n_lo=2, n_hi=12)
+            size = t.modulus * t.k
+            if t.k * prod(deltas_of(t)) > 3000:
+                continue
+            packed, plain = _both_encodings(t)
+            G = _closure(list(packed), size, 10**6)
+            assert all(isinstance(g, bytes) for g in G)
+            G_plain = _closure(list(plain), size, 10**6)
+            assert all(isinstance(g, tuple) for g in G_plain)
+            assert {tuple(g) for g in G} == G_plain
+            sample = rng.sample(sorted(G), min(len(G), 12))
+            for a in sample:
+                assert tuple(_inverse(a)) == _inverse(tuple(a))
+                for b in sample:
+                    assert tuple(_mul(a, b)) == _mul(tuple(a), tuple(b))
+
+    def test_caps_agree(self):
+        packed, plain = _both_encodings(validate([2, 2, 2, 4], 5))
+        for gens in (packed, plain):
+            with pytest.raises(CapExceeded) as exc:
+                _closure(list(gens), 20, 99, "span")
+            assert str(exc.value) == "span closure exceeded cap 99"
+            assert exc.value.partial == 99
+
+    @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+    def test_reports_agree(self, monkeypatch, mutation):
+        # the stabilizer, product, translation and conjugation clauses
+        # all read the same on either encoding
+        if mutation:
+            _break(monkeypatch, mutation)
+        rng = random.Random(97)
+        tuples = [random_algebraic(rng, k_lo=2, k_hi=4, n_lo=2, n_hi=4)
+                  for _ in range(12)]
+
+        def outcomes():
+            out = []
+            for t in tuples:
+                try:
+                    out.append(check_structure(t, group_cap=20_000))
+                except CapExceeded as e:
+                    out.append((str(e), e.partial))
+            return out
+
+        packed = outcomes()
+        monkeypatch.setattr(oracle, "_pack", lambda perm, size: tuple(perm))
+        assert outcomes() == packed
+
+
+@pytest.mark.parametrize("entries,n", [
+    ([26, 27, 33], 86),
+    ([53, 59, 60], 86),
+    ([4, 61, 4, 61], 65),
+    ([57, 51, 8, 14], 65),
+    ([53, 13, 53, 13], 66),
+    ([1] * 17, 17),
+])
+def test_check_structure_above_bytes_threshold(entries, n):
+    # n*k > 256: the oracle composes tuples; the closed forms (and the SNF
+    # route for k = 17) say what it must find
+    k = len(entries)
+    assert n * k > 256
+    if k == 3:
+        desc = triangle_closed_form(*entries, n)
+    elif k == 4:
+        desc = quadrilateral_closed_form(*entries, n)
+    else:
+        desc = group_of(validate(entries, n))
+    rep = check_structure(validate(entries, n))
+    assert rep.passed
+    assert rep.group_order == desc.order
+    assert rep.translation_order == desc.order // k
+    assert rep.action_trivial == (len(set(entries)) == 1)

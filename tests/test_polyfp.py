@@ -146,6 +146,20 @@ class TestFactorXkMinus1:
                         h = polyfp._pow_mod(p, (0, 1), p**d, f.coeffs)
                         assert (h == (0, 1)) == (d == f.degree)
 
+    def test_cache_is_bounded(self):
+        cached = polyfp._factor_xk_minus_1_cached
+        cached.cache_clear()
+        first = factor_xk_minus_1(2, 3)
+        primes = [p for p in range(5, 20_000) if is_prime(p)]
+        for p in primes[:polyfp.FACTOR_CACHE_SIZE + 10]:
+            factor_xk_minus_1(2, p)
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize == polyfp.FACTOR_CACHE_SIZE
+        # an evicted pair is factored again, to the same answer
+        assert factor_xk_minus_1(2, 3) == first
+        assert cached.cache_info().misses == info.misses + 1
+        cached.cache_clear()
+
 
 def test_roots_of_unity_match_scans():
     # slow route: scan F_p for the roots and the candidate constants of the
