@@ -2,6 +2,16 @@
 
 from math import gcd
 
+from .errors import CapExceeded
+
+# primes below this are found by trial division; any n below its square is
+# factored by trial division alone
+TRIAL_DIVISION_LIMIT = 1000
+# rho steps allowed for splitting one composite cofactor, about 0.6 s; it
+# splits most cofactors whose least prime is below 10^11
+POLLARD_RHO_CAP = 2_000_000
+_RHO_BATCH = 128
+
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -30,19 +40,72 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factorization(n: int) -> dict:
-    """Map prime -> exponent for n >= 1."""
+    """Map prime -> exponent for n >= 1, primes ascending.
+
+    Trial division by d < TRIAL_DIVISION_LIMIT; a cofactor with no prime
+    below the limit is split by Pollard's rho (see ``_rho_factor``).
+    """
     if n < 1:
         raise ValueError("n must be positive")
     out = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < TRIAL_DIVISION_LIMIT:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    # n is now 1, a prime, or a product of primes >= d
+    for p in ([n] if d * d > n else sorted(_large_prime_factors(n))):
+        if p > 1:
+            out[p] = out.get(p, 0) + 1
     return out
+
+
+def _large_prime_factors(m: int) -> list:
+    """The prime factors of m, with multiplicity, when none is below
+    TRIAL_DIVISION_LIMIT."""
+    if is_prime(m):
+        return [m]
+    f = _rho_factor(m)
+    return _large_prime_factors(f) + _large_prime_factors(m // f)
+
+
+def _rho_factor(m: int) -> int:
+    """A proper factor of the composite m, by Pollard's rho (Pollard 1975)
+    with Brent's cycle detection and batched gcds (Brent 1980).
+
+    Deterministic: x -> x^2 + c from x = 2 for c = 1, 2, ..., taking the
+    next c whenever a batch's gcd is m itself, so whether the cap is reached
+    depends on m alone.  CapExceeded, without a factor, before the steps
+    spent would exceed POLLARD_RHO_CAP.
+    """
+    steps = 0
+    for c in range(1, m):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            # a round costs at most 2r steps
+            if steps + 2 * r > POLLARD_RHO_CAP:
+                raise CapExceeded(
+                    f"factoring {m} exceeded "
+                    f"POLLARD_RHO_CAP={POLLARD_RHO_CAP} rho steps",
+                    partial=steps)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            done = 0
+            while done < r and g == 1:
+                batch = min(_RHO_BATCH, r - done)
+                for _ in range(batch):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                done += batch
+            steps += r + done
+            r *= 2
+        # g == m when one batch closed the cycles of every prime of m
+        if g != m:
+            return g
+    raise ArithmeticError(f"no proper factor of {m} found")
 
 
 def divisors(n: int) -> list:

@@ -8,6 +8,13 @@ enumerated directly as the additive span of the circulant columns.  Nothing
 here touches the exact linear algebra module, so the two routes to the
 group structure stay independent.
 
+A span vector is packed into one int, a fixed-width field per coordinate,
+so that two vectors add mod n in a few int operations.  The span is built
+one column at a time, as the union of the cosets of the span so far, and
+each element is produced once.  This is still a brute-force enumeration:
+every element is built and inspected, and no matrix is reduced and no gcd
+of polynomials taken, so its answers stay an independent check.
+
 Permutations are stored as bytes when n*k <= 256 and as tuples otherwise.
 A composite a . b is one C-level call either way: ``b.translate`` through
 a's 256-entry table (built once per left factor, see ``_table``), or an
@@ -16,8 +23,9 @@ a's 256-entry table (built once per left factor, see ``_table``), or an
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import itemgetter
+import struct
 from typing import NamedTuple
 
 from .errors import CapExceeded
@@ -26,6 +34,9 @@ from .polygon import PolygonTuple
 
 DEFAULT_SPAN_CAP = 100_000
 DEFAULT_GROUP_CAP = 1_000_000
+
+# struct codes of the packed field widths that decode at C speed
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class EdgeLabel(NamedTuple):
@@ -157,47 +168,91 @@ def group_order(pp: PermutationPair, cap: int = DEFAULT_GROUP_CAP) -> int:
 
 # ---- the translation subgroup as vectors ----
 
-def span_vectors(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> set:
-    """Additive closure of the circulant columns inside (Z/nZ)^k."""
+def _field_width(n):
+    """Bits per packed coordinate: a sum of two residues plus a guard bit.
+
+    8, 16, 32 or 64 when n <= 2^62, so that ``struct`` decodes a code.
+    """
+    need = (2 * n - 2).bit_length() + 1
+    return next((w for w in (8, 16, 32, 64) if need <= w), need)
+
+
+def _span_codes(t: PolygonTuple, cap: int):
+    """The span as a set of packed codes, and the field width w.
+
+    Coordinate i of a vector sits in bits [w*i, w*i + w) of one int.  Two
+    codes add coordinatewise with one int addition s; s + offset sets the
+    guard bit of every field holding a sum >= n, and n is taken off exactly
+    those fields.  The span grows one column c at a time: with S the span
+    of the earlier columns and t the least t >= 1 with t*c in S, the new
+    span is the disjoint union of the cosets S + r*c for r < t.  So every
+    element is built exactly once, from the one before it in its coset.
+    """
     n, k = t.modulus, t.k
-    a = t.residues()
-    # from a list, not a generator: see PolygonTuple.residues
-    cols = [tuple([a[(i - j) % k] for i in range(k)]) for j in range(k)]
-    zero = (0,) * k
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for col in cols:
-                w = tuple([(x + y) % n for x, y in zip(v, col)])
-                if w not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(
-                            f"span closure exceeded cap {cap}",
-                            partial=len(seen))
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+    w = _field_width(n)
+    ones = sum(1 << (w * i) for i in range(k))
+    guard = ones << (w - 1)
+    offset = ((1 << (w - 1)) - n) * ones
+    mask = (1 << (w * k)) - 1
+    a = sum(x << (w * i) for i, x in enumerate(t.residues()))
+    limit = max(cap, 1)
+    span = {0}
+    for j in range(k):
+        # column j is a, rotated by j coordinates
+        c = ((a << (w * j)) & mask) | (a >> (w * (k - j)))
+        step, cosets = c, 1
+        while step not in span:
+            cosets += 1
+            if len(span) * cosets > limit:
+                raise CapExceeded(f"span closure exceeded cap {cap}",
+                                  partial=limit)
+            step = (s := step + c) - (((s + offset) & guard) >> (w - 1)) * n
+        coset = list(span)
+        for _ in range(cosets - 1):
+            coset = [(s := x + c) - (((s + offset) & guard) >> (w - 1)) * n
+                     for x in coset]
+            span.update(coset)
+    return span, w
+
+
+def _decoder(k, w):
+    """code -> the tuple of its k coordinates."""
+    if w > 64:
+        # such a span holds at least n > 2^62 elements when its tuple is
+        # valid, so this is reached only by hand-built tuples
+        field = (1 << w) - 1
+        return lambda v: tuple([v >> (w * i) & field for i in range(k)])
+    unpack = struct.Struct(f"<{k}{_STRUCT_CODES[w]}").unpack
+    size = k * w // 8
+    return lambda v: unpack(v.to_bytes(size, "little"))
+
+
+def span_vectors(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> set:
+    """Additive closure of the circulant columns inside (Z/nZ)^k.
+
+    Every element is enumerated, as packed codes (see ``_span_codes``), and
+    decoded to a k-tuple.  CapExceeded when the span has more than ``cap``
+    elements.
+    """
+    codes, w = _span_codes(t, cap)
+    return set(map(_decoder(t.k, w), codes))
 
 
 def span_invariants(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> AbelianInvariants:
     """Invariant factors of the span, recovered from annihilator counts.
 
-    For each divisor m of n the number of span elements killed by m is
-    prod_i gcd(m, delta_i); reading those counts at the prime powers
-    dividing n pins down the p-adic exponent multisets, which re-zip into
-    the invariant factor chain.  No matrix reduction is involved.
+    Every span element is enumerated and its order n / gcd(n, v_0, ...,
+    v_{k-1}) tallied.  For each divisor m of n the number of span elements
+    killed by m is prod_i gcd(m, delta_i); reading those counts at the prime
+    powers dividing n pins down the p-adic exponent multisets, which re-zip
+    into the invariant factor chain.  No matrix reduction is involved.
     """
-    vecs = span_vectors(t, cap)
+    codes, w = _span_codes(t, cap)
     n = t.modulus
-    tally = Counter()
-    for v in vecs:
-        o = 1
-        for x in v:
-            o = lcm(o, n // gcd(x, n))
-        tally[o] += 1
+    decode = _decoder(t.k, w)
+    # one code decoded at a time: a list of decoded vectors would hold
+    # the whole span twice over
+    tally = Counter(n // gcd(n, *decode(v)) for v in codes)
     counts = {m: sum(c for o, c in tally.items() if m % o == 0)
               for m in divisors(n)}
     exponents = {}
@@ -222,14 +277,20 @@ def span_invariants(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> AbelianInva
         if f > 1:
             factors.append(f)
     factors = tuple(factors)
-    if prod(factors) != len(vecs):
+    if prod(factors) != len(codes):
         raise AssertionError("annihilator counts inconsistent with span size")
-    return AbelianInvariants(order=len(vecs), factors=factors)
+    return AbelianInvariants(order=len(codes), factors=factors)
 
 
 def span_shift_is_trivial(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> bool:
-    """Whether the cyclic coordinate shift fixes every span vector."""
-    return all(v[-1:] + v[:-1] == v for v in span_vectors(t, cap))
+    """Whether the cyclic coordinate shift fixes every span vector.
+
+    Each packed code is compared with its rotation by one coordinate.
+    """
+    codes, w = _span_codes(t, cap)
+    mask = (1 << (w * t.k)) - 1
+    top = w * (t.k - 1)
+    return all(((v << w) & mask) | (v >> top) == v for v in codes)
 
 
 # ---- structural checks ----

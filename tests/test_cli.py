@@ -7,7 +7,7 @@ import time
 import pytest
 
 import billiard_monodromy
-from billiard_monodromy import polyfp
+from billiard_monodromy import numtheory, polyfp
 from billiard_monodromy.cli import main
 
 
@@ -153,6 +153,31 @@ def test_large_prime_needs_no_scan_of_the_field(capsys, argv, expected):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert out.splitlines() == expected
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["group", "--n", "1000000000000000003", "--tuple", "1,1,1000000000000000001"],
+     "(C1000000000000000003 x C1000000000000000003) : C3, "
+     "order 3000000000000000018000000000000000027\n"),
+    (["group", "--n", "1000000000000000003", "--tuple", "1,1,1000000000000000001",
+      "--json"],
+     '{"group":{"deltas":[1000000000000000003,1000000000000000003],"k":3,'
+     '"n":1000000000000000003,"order":3000000000000000018000000000000000027},'
+     '"tuple":{"entries":[1,1,1000000000000000001],"n":1000000000000000003}}\n'),
+], ids=["text", "json"])
+def test_group_factors_a_large_modulus(capsys, argv, expected):
+    # trial division to the square root of n would take minutes here
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_rho_cap_exit_code(capsys, monkeypatch):
+    # 1000003 * 1000033: no factor below the trial-division limit
+    monkeypatch.setattr(numtheory, "POLLARD_RHO_CAP", 10)
+    code, out, err = run(capsys, "group", "--n", "1000036000099",
+                         "--tuple", "1,1,1000036000097")
+    assert (code, out) == (2, "")
+    assert err == ("cap exceeded: factoring 1000036000099 exceeded "
+                   "POLLARD_RHO_CAP=10 rho steps\n")
 
 
 @pytest.mark.parametrize("command", ["factor", "classify-prime"])

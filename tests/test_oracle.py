@@ -1,7 +1,8 @@
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from billiard_monodromy import (
     build_permutations,
@@ -16,7 +17,9 @@ from billiard_monodromy import (
 )
 from billiard_monodromy import EdgeLabel
 from billiard_monodromy.errors import CapExceeded
-from billiard_monodromy.monodromy import deltas_of, group_of
+from billiard_monodromy.monodromy import (DEFAULT_ACTION_CAP, deltas_of,
+                                          group_of)
+from billiard_monodromy.polygon import PolygonTuple, enumerate_geometric
 from billiard_monodromy.oracle import (
     _closure,
     _inverse,
@@ -24,6 +27,7 @@ from billiard_monodromy.oracle import (
     _pack,
     _packed_pair,
     _power,
+    span_shift_is_trivial,
     PermutationPair,
     edge_index,
     edge_label,
@@ -126,6 +130,125 @@ class TestSpanInvariants:
             if t.modulus ** t.k > 30000:
                 continue
             assert span_invariants(t).factors == deltas_of(t)
+
+
+def _span_bfs(t, cap=oracle.DEFAULT_SPAN_CAP):
+    """The span by breadth-first search over k-tuples: the slow route that
+    the packed coset-by-coset enumeration replaced, kept as its reference."""
+    n, k = t.modulus, t.k
+    a = t.residues()
+    cols = [tuple([a[(i - j) % k] for i in range(k)]) for j in range(k)]
+    zero = (0,) * k
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for col in cols:
+                w = tuple([(x + y) % n for x, y in zip(v, col)])
+                if w not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(
+                            f"span closure exceeded cap {cap}",
+                            partial=len(seen))
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except CapExceeded as e:
+        return ("cap", str(e), e.partial)
+
+
+CENSUS_CELLS = ((3, 60), (3, 96), (4, 18), (4, 24), (5, 7), (5, 11), (6, 5), (6, 7))
+
+
+class TestSpanEnumeration:
+    def test_matches_bfs_on_census_cells(self):
+        # every tuple of the eight cells would be 579M span elements, so a
+        # seeded sample per cell, under group_of's action cap
+        rng = random.Random(89)
+        cap = DEFAULT_ACTION_CAP + 1
+        for k, n in CENSUS_CELLS:
+            cell = list(enumerate_geometric(k, n))
+            for t in rng.sample(cell, 6):
+                expected = _outcome(_span_bfs, t, cap)
+                assert _outcome(span_vectors, t, cap) == expected, t
+                shift = (expected if isinstance(expected, tuple) else
+                         all(v[-1:] + v[:-1] == v for v in expected))
+                assert _outcome(span_shift_is_trivial, t, cap) == shift, t
+
+    @pytest.mark.parametrize("n, width", [(2, 8), (64, 8), (65, 16),
+                                          (16384, 16), (16385, 32),
+                                          (2**30, 32), (2**30 + 1, 64),
+                                          (2**62, 64), (2**62 + 1, 65)])
+    def test_field_width(self, n, width):
+        assert oracle._field_width(n) == width
+
+    @pytest.mark.parametrize("n", [64, 65, 16384, 16385])
+    def test_field_width_boundaries(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            t = random_algebraic(rng, k_lo=2, k_hi=2, n_lo=n, n_hi=n)
+            assert span_vectors(t) == _span_bfs(t)
+        for _ in range(3):
+            t = random_algebraic(rng, k_lo=3, k_hi=3, n_lo=n, n_hi=n)
+            assert _outcome(span_vectors, t, 3000) == _outcome(_span_bfs, t, 3000)
+
+    def test_many_coordinates(self):
+        rng = random.Random(97)
+        for _ in range(30):
+            t = random_algebraic(rng, k_lo=7, k_hi=12, n_lo=2, n_hi=5)
+            assert _outcome(span_vectors, t, 5000) == _outcome(_span_bfs, t, 5000)
+
+    def test_fields_wider_than_64_bits(self):
+        # a hand-built tuple: a valid one has at least n > 2^62 span elements
+        t = PolygonTuple((2**63, 2**63), 2**64)
+        assert span_vectors(t) == _span_bfs(t) == {(0, 0), (2**63, 2**63)}
+        assert span_shift_is_trivial(t)
+
+    def test_cap_edges(self):
+        t = validate([2, 2, 2, 4], 5)
+        size = len(_span_bfs(t))
+        assert span_vectors(t, cap=size) == _span_bfs(t, cap=size)
+        for cap in (size - 1, 1, 0, -1):
+            expected = _outcome(_span_bfs, t, cap)
+            assert expected == ("cap", f"span closure exceeded cap {cap}",
+                                max(cap, 1))
+            for f in (span_vectors, span_invariants, span_shift_is_trivial):
+                assert _outcome(f, t, cap) == expected, (f, cap)
+
+
+@st.composite
+def small_algebraic(draw, k_max=5, n_max=10):
+    k = draw(st.integers(2, k_max))
+    n = draw(st.integers(2, n_max))
+    entries = draw(st.lists(st.integers(0, n - 1), min_size=k - 1,
+                            max_size=k - 1))
+    entries.append(-sum(entries) % n)
+    assume(any(entries) and gcd(*entries, n) == 1)
+    return validate(entries, n, "algebraic")
+
+
+class TestSpanProperties:
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(small_algebraic())
+    def test_invariants_match_deltas(self, t):
+        assert span_invariants(t).factors == deltas_of(t)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(small_algebraic())
+    def test_shift_is_trivial_iff_residues_equal(self, t):
+        assert span_shift_is_trivial(t) == (len(set(t.residues())) == 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=25, database=None)
+    @given(small_algebraic(k_max=4, n_max=7))
+    def test_structure_translation_order(self, t):
+        assert check_structure(t).translation_order == span_invariants(t).order
 
 
 class TestCheckStructure:
