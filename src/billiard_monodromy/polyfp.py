@@ -5,11 +5,15 @@ Polynomials are dense coefficient tuples, index = degree, no trailing zeros
 polynomial f(x) = a_0 + a_1 x + ... + a_{k-1} x^{k-1} of a tuple, the gcd
 machinery against x^k - 1, the full factorization of x^k - 1, and the
 zero-gap toolkit used by the witness constructions.
+
+x^k - 1 is factored in polynomial time: distinct-degree splitting, then
+gcds with seeded random combinations of the cyclotomic coset sums, which
+span Berlekamp's subalgebra (Berlekamp 1970, Cantor-Zassenhaus 1981).
 """
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .errors import (
     BothZero,
@@ -24,10 +28,11 @@ from .errors import (
 from .numtheory import is_prime, prime_factorization
 from .polygon import PolygonTuple
 
-# trial divisions one equal-degree split may make: it tries up to p^(d-1)
-# monic candidates for the degree-d factors, so large p and d stop here.
-# About 5 s; x^13 - 1 over F_17, factored by the test suite, needs 428,627
-EQUAL_DEGREE_SPLIT_CAP = 500_000
+# random combinations one equal-degree split may try, each on every piece
+# left.  One parts two given factors with probability at least 4/9, so two
+# stay together through 100 with probability under (5/9)^100 < 3e-26; for
+# k <= 60 and p < 200 no split needs more than 15
+SPLIT_ATTEMPT_CAP = 100
 
 # factorizations of x^k - 1 kept, least recently used dropped first; well
 # above the 266 (k, p) pairs the classify benchmark revisits, so those hit
@@ -233,59 +238,63 @@ def _roots_of_unity(p, r):
     raise ArithmeticError(f"no element of order {r} mod {p}")
 
 
-def _lex_tuples(p, n):
-    # product(range(p), repeat=n) in the same order, but lazy: product
-    # first copies range(p) into a tuple, which for a large p exhausts memory
-    digits = [0] * n
-    while True:
-        yield tuple(digits)
-        i = n - 1
-        while i >= 0 and digits[i] == p - 1:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1
+def _cosets(m, p):
+    # the orbits of j -> p*j on Z/m (p not dividing m), by least element
+    seen = [False] * m
+    out = []
+    for j in range(m):
+        orbit = []
+        while not seen[j]:
+            seen[j] = True
+            orbit.append(j)
+            j = j * p % m
+        if orbit:
+            out.append(orbit)
+    return out
 
 
 def _equal_degree_split(p, g, d, m):
     # g divides x^m - 1, squarefree, every irreducible factor of degree d
-    if len(g) - 1 == d:
-        return [g]
     if d == 1:
         # g is the product of the linear factors, x^r - 1 with r = deg g
         return [(-z % p, 1) for z in _roots_of_unity(p, len(g) - 1)]
-    # the constant term of a degree-d factor is (-1)^d times the norm of a
-    # root, hence (-1)^d times an m-th root of unity in F_p
-    sign = (-1) ** d % p
-    constants = sorted([sign * z % p for z in _roots_of_unity(p, gcd(m, p - 1))])
-    out = []
-    rem = g
-    tried = 0
-    for tail in _lex_tuples(p, d - 1):
-        for c0 in constants:
-            if tried == EQUAL_DEGREE_SPLIT_CAP:
-                raise CapExceeded(
-                    f"splitting the degree-{d} factors of x^{m} - 1 over F_{p} "
-                    f"exceeded EQUAL_DEGREE_SPLIT_CAP={EQUAL_DEGREE_SPLIT_CAP} "
-                    f"trial divisions", partial=tried)
-            tried += 1
-            cand = (c0,) + tail + (1,)
-            q, r = _divmod(p, rem, cand)
-            if not r:
-                out.append(cand)
-                rem = q
-                if len(rem) - 1 == d:
-                    out.append(rem)
-                    return out
-                if len(rem) == 1:
-                    return out
-    raise AssertionError("equal-degree splitting exhausted its candidates")
+    # h = sum of c_C * h_C over the cosets C, h_C = sum of x^i for i in C:
+    # h^p = h mod x^m - 1, so h is a constant of F_p mod each factor, and
+    # the h_C together tell the factors apart.  The gcd of a piece f with
+    # h^((p-1)/2) - 1 (with h for p = 2) splits f when that polynomial
+    # vanishes mod some of its factors and not mod others
+    cosets = _cosets(m, p)
+    rng = random.Random(0)
+    pieces = [g]
+    attempts = 0
+    while len(pieces) < (len(g) - 1) // d:
+        if attempts == SPLIT_ATTEMPT_CAP:
+            raise CapExceeded(
+                f"splitting the degree-{d} factors of x^{m} - 1 over F_{p} "
+                f"exceeded SPLIT_ATTEMPT_CAP={SPLIT_ATTEMPT_CAP} random "
+                f"attempts", partial=attempts)
+        attempts += 1
+        h = [0] * m
+        for orbit in cosets:
+            c = rng.randrange(p)
+            for j in orbit:
+                h[j] = c
+        split = []
+        for f in pieces:
+            a = f
+            if len(f) - 1 > d:
+                r = _divmod(p, h, f)[1]
+                if p > 2:
+                    r = _sub(p, _pow_mod(p, r, (p - 1) // 2, f), (1,))
+                a = _gcd_coeffs(p, f, r)
+            split += [a, _divmod(p, f, a)[0]] if 1 < len(a) < len(f) else [f]
+        pieces = split
+    return pieces
 
 
 def _factor_squarefree_xm1(m, p):
     # x^m - 1 with p not dividing m: distinct-degree splitting, then
-    # deterministic equal-degree splitting by low-degree trial division
+    # equal-degree splitting of each piece by the coset sums
     f = xk_minus_1(m, p).coeffs
     found = []
     h = _divmod(p, (0, 1), f)[1]
@@ -336,19 +345,7 @@ def coset_degrees(k: int, p: int) -> tuple:
     irreducible factors of x^k - 1 when p does not divide k."""
     if k % p == 0:
         raise PDividesK(f"p={p} divides k={k}")
-    seen = set()
-    sizes = []
-    for j in range(k):
-        if j in seen:
-            continue
-        orbit = set()
-        x = j
-        while x not in orbit:
-            orbit.add(x)
-            x = x * p % k
-        seen |= orbit
-        sizes.append(len(orbit))
-    return tuple(sorted(sizes))
+    return tuple(sorted([len(orbit) for orbit in _cosets(k, p)]))
 
 
 def close_zero_gap(f: FpPoly, forbidden=frozenset()):

@@ -244,7 +244,6 @@ def test_criterion_07_closed_form_consistency():
           f"({degenerate} with d2 = n) ({time.time() - start:.2f}s)")
 
 
-@pytest.mark.slow
 def test_criterion_08_constructive_toolkit():
     f = FpPoly.make(2, [1, 1, 1, 0, 0, 1])
     r1 = rotate(f, 7)

@@ -180,29 +180,57 @@ def test_rho_cap_exit_code(capsys, monkeypatch):
                    "POLLARD_RHO_CAP=10 rho steps\n")
 
 
+@pytest.mark.parametrize("argv,expected", [
+    # two quintic factors
+    (["factor", "--k", "11", "--p", "31"],
+     "(x+30 (mod 31))\n"
+     "(x^5+10*x^4+30*x^3+x^2+9*x+30 (mod 31))\n"
+     "(x^5+22*x^4+30*x^3+x^2+21*x+30 (mod 31))\n"),
+    (["classify-prime", "--k", "11", "--p", "31"],
+     "(C31 x C31 x C31 x C31 x C31 x C31 x C31 x C31 x C31 x C31) : C11, "
+     "order 9015911156788811  witness [32, 52, 45, 35, 24, 27, 24, 4, 14, 21, 1] "
+     "(mod 31)\n"
+     "(C31 x C31 x C31 x C31 x C31) : C11, order 314920661  "
+     "witness [32, 48, 54, 61, 8, 23, 23, 3, 21, 5, 1] (mod 31)\n"
+     + "".join(f"excluded: ({' x '.join(['C31'] * r)}) : C11  "
+               "[factor-degree-subset-sum]\n" for r in (9, 8, 7, 6, 4, 3, 2, 1))),
+    (["factor", "--k", "11", "--p", "37"],
+     "(x+36 (mod 37))\n"
+     "(x^5+14*x^4+36*x^3+x^2+13*x+36 (mod 37))\n"
+     "(x^5+24*x^4+36*x^3+x^2+23*x+36 (mod 37))\n"),
+    # three quadratic factors over a field far too large to scan
+    (["factor", "--k", "7", "--p", "1000000000000007243"],
+     "(x+1000000000000007242 (mod 1000000000000007243))\n"
+     "(x^2+11236334631057132*x+1 (mod 1000000000000007243))\n"
+     "(x^2+99765249213271177*x+1 (mod 1000000000000007243))\n"
+     "(x^2+888998416155678935*x+1 (mod 1000000000000007243))\n"),
+    (["factor", "--k", "30", "--p", "1000000007"],
+     "(x+1 (mod 1000000007))\n"
+     "(x+1000000006 (mod 1000000007))\n"
+     "(x^2+x+1 (mod 1000000007))\n"
+     "(x^2+1000000006*x+1 (mod 1000000007))\n"
+     "(x^4+x^3+x^2+x+1 (mod 1000000007))\n"
+     "(x^4+647922937*x^3+1000000005*x^2+352077069*x+1 (mod 1000000007))\n"
+     "(x^4+647922938*x^3+1000000005*x^2+352077070*x+1 (mod 1000000007))\n"
+     "(x^4+352077069*x^3+1000000005*x^2+647922937*x+1 (mod 1000000007))\n"
+     "(x^4+352077070*x^3+1000000005*x^2+647922938*x+1 (mod 1000000007))\n"
+     "(x^4+1000000006*x^3+x^2+1000000006*x+1 (mod 1000000007))\n"),
+], ids=["factor-11-31", "classify-prime-11-31", "factor-11-37",
+        "factor-7-large-prime", "factor-30-1000000007"])
+def test_equal_degree_split_by_coset_sums(capsys, argv, expected):
+    polyfp._factor_xk_minus_1_cached.cache_clear()
+    assert run(capsys, *argv) == (0, expected, "")
+
+
 @pytest.mark.parametrize("command", ["factor", "classify-prime"])
-def test_equal_degree_split_cap_exit_code(capsys, monkeypatch, command):
-    # x^11 - 1 over F_31 has two quintic factors, the first found after
-    # 270,020 trial divisions; a lowered cap shows where the CLI stops
-    monkeypatch.setattr(polyfp, "EQUAL_DEGREE_SPLIT_CAP", 1000)
+def test_split_attempt_cap_exit_code(capsys, monkeypatch, command):
+    # the two sextic factors of x^13 - 1 over F_17 take five random attempts
+    monkeypatch.setattr(polyfp, "SPLIT_ATTEMPT_CAP", 2)
     polyfp._factor_xk_minus_1_cached.cache_clear()
-    code, out, err = run(capsys, command, "--k", "11", "--p", "31")
+    code, out, err = run(capsys, command, "--k", "13", "--p", "17")
     assert (code, out) == (2, "")
-    assert err == ("cap exceeded: splitting the degree-5 factors of x^11 - 1 "
-                   "over F_31 exceeded EQUAL_DEGREE_SPLIT_CAP=1000 trial "
-                   "divisions\n")
-
-
-def test_equal_degree_split_cap_on_a_large_prime(capsys, monkeypatch):
-    # x^7 - 1 has three quadratic factors over this F_p; the candidates are
-    # drawn lazily, so the split reaches its cap instead of exhausting memory
-    monkeypatch.setattr(polyfp, "EQUAL_DEGREE_SPLIT_CAP", 1000)
-    polyfp._factor_xk_minus_1_cached.cache_clear()
-    code, out, err = run(capsys, "factor", "--k", "7", "--p", "1000000000000007243")
-    assert (code, out) == (2, "")
-    assert err == ("cap exceeded: splitting the degree-2 factors of x^7 - 1 "
-                   "over F_1000000000000007243 exceeded "
-                   "EQUAL_DEGREE_SPLIT_CAP=1000 trial divisions\n")
+    assert err == ("cap exceeded: splitting the degree-6 factors of x^13 - 1 "
+                   "over F_17 exceeded SPLIT_ATTEMPT_CAP=2 random attempts\n")
 
 
 class TestEnumerate:

@@ -162,8 +162,7 @@ class TestFactorXkMinus1:
 
 
 def test_roots_of_unity_match_scans():
-    # slow route: scan F_p for the roots and the candidate constants of the
-    # equal-degree split
+    # slow route: scan F_p for the roots
     for p in (q for q in range(2, 400) if is_prime(q)):
         for m in range(1, 60):
             if m % p == 0:
@@ -174,14 +173,78 @@ def test_roots_of_unity_match_scans():
             assert found == scan, (p, m)
             linear = polyfp._equal_degree_split(p, xk_minus_1(r, p).coeffs, 1, m)
             assert linear == [(-z % p, 1) for z in scan], (p, m)
-            assert sorted([-z % p for z in found]) == [
-                c for c in range(1, p) if pow(-c % p, m, p) == 1], (p, m)
 
 
-def test_lex_tuples_match_product():
-    for p in range(2, 6):
-        for n in range(4):
-            assert list(polyfp._lex_tuples(p, n)) == list(product(range(p), repeat=n))
+def _trial_division_split(p, g, d, m):
+    # slow route: g divides x^m - 1 and is squarefree with every factor of
+    # degree d; try monic degree-d candidates, tails in lexicographic order,
+    # the constant term (-1)^d times the norm of a root, an m-th root of 1
+    if len(g) - 1 == d:
+        return [g]
+    constants = sorted([(-1) ** d * z % p for z in range(1, p) if pow(z, m, p) == 1])
+    out = []
+    rem = g
+    for tail in product(range(p), repeat=d - 1):
+        for c0 in constants:
+            cand = (c0,) + tail + (1,)
+            q, r = polyfp._divmod(p, rem, cand)
+            if not r:
+                out.append(cand)
+                rem = q
+                if len(rem) - 1 == d:
+                    out.append(rem)
+                    return out
+                if len(rem) == 1:
+                    return out
+    raise AssertionError("trial division exhausted its candidates")
+
+
+def test_factors_match_trial_division(monkeypatch):
+    # every k <= 20, prime p < 110 pair (p | k included) on which the slow
+    # route tries at most 10^4 candidates: p^(d-1) tails for the largest
+    # factor degree d = ord_m(p), m the part of k prime to p, times
+    # gcd(m, p - 1) constants
+    pairs = []
+    for k in range(1, 21):
+        for p in (q for q in range(2, 110) if is_prime(q)):
+            m = k
+            while m % p == 0:
+                m //= p
+            d = next(e for e in range(1, m + 1) if pow(p, e, m) == 1 % m)
+            if p ** (d - 1) * gcd(m, p - 1) <= 10**4:
+                pairs.append((k, p))
+    fast = [factor_xk_minus_1(k, p) for k, p in pairs]
+    monkeypatch.setattr(polyfp, "_equal_degree_split", _trial_division_split)
+    for (k, p), factors in zip(pairs, fast):
+        assert list(polyfp._factor_xk_minus_1_cached.__wrapped__(k, p)) == factors, (k, p)
+    assert len(pairs) == 384
+
+
+def test_factorization_properties():
+    # seeded pairs k <= 60, primes p < 200, with p | k drawn on purpose too;
+    # a split that reaches SPLIT_ATTEMPT_CAP raises CapExceeded and fails
+    rng = random.Random(109)
+    primes = [q for q in range(2, 200) if is_prime(q)]
+    pairs = [(rng.randint(1, 60), rng.choice(primes)) for _ in range(150)]
+    pairs += [(p * rng.randint(1, 60 // p), p) for p in primes[:10]]
+    for k, p in pairs:
+        factors = factor_xk_minus_1(k, p)
+        acc = FpPoly(p, (1,))
+        for f, m in factors:
+            for _ in range(m):
+                acc = polyfp.mul(acc, f)
+        assert acc == xk_minus_1(k, p), (k, p)
+        for f, _ in factors:
+            # f divides x^(p^e) - x first at e = deg f; x mod f, not x,
+            # so that a linear f passes
+            x = polyfp._divmod(p, (0, 1), f.coeffs)[1]
+            h = x
+            for e in range(1, f.degree + 1):
+                h = polyfp._pow_mod(p, h, p, f.coeffs)
+                assert (h == x) == (e == f.degree), (k, p, f)
+        if k % p:
+            degs = tuple(sorted(f.degree for f, _ in factors))
+            assert degs == coset_degrees(k, p), (k, p)
 
 
 class TestCosetDegrees:
