@@ -9,6 +9,7 @@ covering decision procedure for composite moduli.
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from math import gcd
 from typing import Optional
 
@@ -33,6 +34,7 @@ from .monodromy import (
 from .numtheory import crt_pair, divisors, is_prime, prime_factorization, smallest_primitive_root
 from .polygon import (
     PolygonTuple,
+    # unused here, but perfbench/tracing.py patches construct.enumerate_algebraic
     enumerate_algebraic,
     find_geometric_associate,
     pad_to_geometric,
@@ -42,6 +44,10 @@ from . import polyfp
 from .polyfp import FpPoly, close_zero_gap, factor_xk_minus_1, w_function, xk_minus_1
 
 DEFAULT_PRIME_POWER_CAP = 1_000_000
+
+# triangles classify_triangles may scan; every n < 20,000 needs at most
+# 9,731 (n = 19,603)
+TRIANGLE_SCAN_CAP = 1_000_000
 
 
 # ---- calculus of algebraic tuples ----
@@ -228,6 +234,12 @@ def construct_prime_case(k: int, p: int, d: int) -> PolygonTuple:
         raise PreconditionFailed(f"need prime p > k >= 3, got k={k}, p={p}")
     if d not in achievable_d_set(k, p):
         raise DNotAchievable(f"d={d} is not an achievable gcd degree for k={k}, p={p}")
+    return _construct(k, p, d)
+
+
+def _construct(k: int, p: int, d: int) -> PolygonTuple:
+    # construct_prime_case for inputs the caller has checked: p a prime
+    # above k >= 3 and d in achievable_d_set(k, p)
     if p > k + 1:
         f = _witness_poly_generic(k, p, d)
     elif k % d == 0 and d < k:
@@ -285,7 +297,7 @@ def classify_prime(k: int, p: int) -> ClassificationReport:
         desc = GroupDescriptor(p, k, (p,) * (k - d))
         if d in ach:
             achievable.append(desc)
-            witnesses[desc] = construct_prime_case(k, p, d)
+            witnesses[desc] = _construct(k, p, d)
         else:
             excluded.append((desc, "factor-degree-subset-sum"))
     return ClassificationReport(
@@ -321,7 +333,8 @@ def classify_triangles(n: int) -> ClassificationReport:
     lexicographic order and the first hit per alpha becomes its witness.
     The scan stops once every admissible alpha has a witness; an
     inadmissible alpha met on the way, or a scan that runs out first,
-    raises InternalVerificationFailed.
+    raises InternalVerificationFailed, and a scan that reaches
+    TRIANGLE_SCAN_CAP triangles raises CapExceeded.
 
     The triangles the early stop skips are covered prime by prime: with
     a2 = n - a0 - a1, alpha = gcd(n, a0*a2 - a1^2) and a0*a2 - a1^2 is
@@ -359,7 +372,12 @@ def classify_triangles(n: int) -> ClassificationReport:
     found = {}
     triangles = ((a0, a1, n - a0 - a1)
                  for a0 in range(1, n - 1) for a1 in range(1, n - a0))
-    for a0, a1, a2 in triangles:
+    for scanned, (a0, a1, a2) in enumerate(triangles):
+        if scanned == TRIANGLE_SCAN_CAP:
+            raise CapExceeded(
+                f"the triangle scan mod {n} exceeded "
+                f"TRIANGLE_SCAN_CAP={TRIANGLE_SCAN_CAP} triangles",
+                partial=scanned)
         if gcd(a0, a1, a2, n) != 1:
             continue
         alpha = gcd(n, a0 * a2 - a1 * a1)
@@ -411,17 +429,42 @@ class FeasibilityResult:
         }
 
 
+def _associate_representatives(k: int, p: int, e: int):
+    # the algebraic k-tuples mod q = p^e whose first nonzero entry, after i
+    # leading zeros, is a power p^v < q: every unit orbit's lexicographic
+    # minimum is one of them.  Lexicographic for each i; the last entry is
+    # forced by the sum, and a tuple led by p^v, v >= 1, may still share p
+    q = p**e
+    for i in range(k - 1):
+        for v in range(e):
+            lead = (0,) * i + (p**v,)
+            for tail in product(range(q), repeat=k - 2 - i):
+                entries = lead + tail
+                entries += (-sum(entries) % q,)
+                if v and gcd(*entries, q) != 1:
+                    continue
+                yield PolygonTuple(entries, q)
+
+
 def composite_feasible(k: int, n: int, deltas,
                        per_prime_cap: int = DEFAULT_PRIME_POWER_CAP) -> FeasibilityResult:
     """Decide whether some geometric k-tuple mod n has N with the given
     invariant factors.
 
-    Per prime power q dividing n, all algebraic k-tuples mod q achieving
-    N/qN are enumerated along with their zero-coordinate patterns; the
-    target is feasible exactly when one tuple per prime power can be chosen
-    so every coordinate is nonzero somewhere, in which case the CRT
-    combination has a geometric associate that is returned as a verified
-    witness.
+    Per prime power q dividing n, the algebraic k-tuples mod q achieving
+    N/qN are searched in lexicographic order, and the first one with each
+    zero-coordinate pattern is kept; the target is feasible exactly when
+    one tuple per prime power can be chosen so every coordinate is nonzero
+    somewhere, in which case the CRT combination has a geometric associate
+    that is returned as a verified witness.
+
+    Only associate-class representatives are searched.  Scaling by a unit
+    mod q keeps the zero pattern and the ideal N, so a unit orbit lies
+    wholly inside or outside the tuples kept for a pattern, and the first
+    of those is the lexicographic minimum of its orbit.  That minimum has
+    as its first nonzero entry that entry's gcd with q, a power of p
+    below q, so only tuples led by such a power are built: about q^(k-2)
+    instead of q^(k-1) at a prime q.  ``per_prime_cap`` still bounds q^k.
 
     The local groups of the candidates come from the triangle and
     quadrilateral closed forms for k = 3 and 4, and from ``deltas_of`` for
@@ -449,7 +492,7 @@ def composite_feasible(k: int, n: int, deltas,
                 f"prime power {q} needs {q**k} candidate tuples, cap is {per_prime_cap}")
         target = tuple([x for x in (gcd(d, q) for d in deltas) if x > 1])
         found = {}
-        for cand in enumerate_algebraic(k, q):
+        for cand in _associate_representatives(k, p, e):
             local = (closed_form(*cand.entries, q) if closed_form
                      else deltas_of(cand))
             if local == target:

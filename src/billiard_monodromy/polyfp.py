@@ -34,6 +34,12 @@ from .polygon import PolygonTuple
 # k <= 60 and p < 200 no split needs more than 15
 SPLIT_ATTEMPT_CAP = 100
 
+# largest k whose x^k - 1 is factored: the schoolbook modular powers of the
+# split cost about k^2 log p each, and the slowest k <= 128 measured, 127
+# with p = 1000000000000006849 = -1 mod k (64 factors), takes 1.6 s on a
+# shared 2-vCPU host
+FACTOR_K_CAP = 128
+
 # factorizations of x^k - 1 kept, least recently used dropped first; well
 # above the 266 (k, p) pairs the classify benchmark revisits, so those hit
 FACTOR_CACHE_SIZE = 1024
@@ -331,12 +337,16 @@ def factor_xk_minus_1(k: int, p: int) -> list:
     multiplicity) pairs, sorted by degree then coefficients.
 
     When p divides k, x^k - 1 = (x^m - 1)^(p^e) with k = m * p^e, so the
-    squarefree part is factored and every multiplicity is p^e.
+    squarefree part is factored and every multiplicity is p^e.  CapExceeded
+    when k is above FACTOR_K_CAP.
     """
     if k < 1:
         raise PreconditionFailed(f"k must be positive, got {k}")
     if not is_prime(p):
         raise ModulusNotPrime(f"{p} is not prime")
+    if k > FACTOR_K_CAP:
+        raise CapExceeded(
+            f"factoring x^{k} - 1 over F_{p} exceeds FACTOR_K_CAP={FACTOR_K_CAP}")
     return list(_factor_xk_minus_1_cached(k, p))
 
 

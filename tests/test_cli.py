@@ -7,7 +7,7 @@ import time
 import pytest
 
 import billiard_monodromy
-from billiard_monodromy import numtheory, polyfp
+from billiard_monodromy import construct, numtheory, polyfp
 from billiard_monodromy.cli import main
 
 
@@ -231,6 +231,33 @@ def test_split_attempt_cap_exit_code(capsys, monkeypatch, command):
     assert (code, out) == (2, "")
     assert err == ("cap exceeded: splitting the degree-6 factors of x^13 - 1 "
                    "over F_17 exceeded SPLIT_ATTEMPT_CAP=2 random attempts\n")
+
+
+@pytest.mark.parametrize("command,k,p", [
+    ("factor", "129", "139"),
+    ("factor", "3000", "1000000007"),
+    ("classify-prime", "129", "139"),
+    ("classify-prime", "3000", "1000000007"),
+])
+def test_factor_k_cap_exit_code(capsys, command, k, p):
+    code, out, err = run(capsys, command, "--k", k, "--p", p)
+    assert (code, out) == (2, "")
+    assert err == (f"cap exceeded: factoring x^{k} - 1 over F_{p} "
+                   "exceeds FACTOR_K_CAP=128\n")
+
+
+def test_factor_k_cap_admits_the_cap(capsys):
+    code, out, _ = run(capsys, "factor", "--k", "128", "--p", "257")
+    assert code == 0 and len(out.splitlines()) == 128
+
+
+def test_triangle_scan_cap_exit_code(capsys, monkeypatch):
+    # a prime n = 1 mod 3 whose row a0 = 1 runs to a cube root of unity
+    monkeypatch.setattr(construct, "TRIANGLE_SCAN_CAP", 10)
+    code, out, err = run(capsys, "classify-triangle", "--n", "1000000000000000003")
+    assert (code, out) == (2, "")
+    assert err == ("cap exceeded: the triangle scan mod 1000000000000000003 "
+                   "exceeded TRIANGLE_SCAN_CAP=10 triangles\n")
 
 
 class TestEnumerate:

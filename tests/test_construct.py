@@ -12,6 +12,7 @@ from billiard_monodromy import (
     combine_crt,
     composite_feasible,
     construct_prime_case,
+    enumerate_algebraic,
     enumerate_geometric,
     group_of,
     lift,
@@ -21,6 +22,7 @@ from billiard_monodromy import (
 )
 from billiard_monodromy import construct
 from billiard_monodromy.construct import (
+    _associate_representatives,
     _cube_root_of_unity_exists,
     _generic_divisor,
     _subset_with_degree,
@@ -356,6 +358,14 @@ class TestClassifyTriangles:
         assert classify_triangles(2707).to_json_dict() == _triangle_report(
             2707, {1: (1, 1, 2705), 2707: (1, 1327, 1379)}, [])
 
+    def test_scan_cap_clears_the_longest_scan_below_20000(self, monkeypatch):
+        # n = 19,603 scans 9,731 triangles, the most of any n < 20,000
+        monkeypatch.setattr(construct, "TRIANGLE_SCAN_CAP", 9731)
+        assert len(classify_triangles(19603).achievable) == 2
+        monkeypatch.setattr(construct, "TRIANGLE_SCAN_CAP", 9730)
+        with pytest.raises(CapExceeded, match="TRIANGLE_SCAN_CAP=9730"):
+            classify_triangles(19603)
+
     def test_cube_root_criterion_matches_scan(self):
         for q in [*(q for q in range(2, 10**4) if is_prime(q)), 9]:
             scan = any((t * t + t + 1) % q == 0 for t in range(q))
@@ -427,3 +437,27 @@ class TestCompositeFeasible:
             composite_feasible(3, 10, (3,))
         with pytest.raises(PreconditionFailed):
             composite_feasible(3, 10, (2, 10))
+
+
+def _first_per_pattern(candidates):
+    # {local group: {zero pattern: first tuple}}, the map composite_feasible
+    # keeps for every target at once
+    first = {}
+    for t in candidates:
+        pattern = frozenset(i for i, a in enumerate(t.entries) if a == 0)
+        first.setdefault(deltas_of(t), {}).setdefault(pattern, t.entries)
+    return first
+
+
+@pytest.mark.parametrize("k,q_max", [(3, 49), (4, 16), (5, 7)])
+def test_representatives_keep_the_first_tuple_per_pattern(k, q_max):
+    # slow route: every algebraic tuple mod q in lexicographic order
+    for q in range(2, q_max + 1):
+        factors = prime_factorization(q)
+        if len(factors) != 1:
+            continue
+        (p, e), = factors.items()
+        reps = list(_associate_representatives(k, p, e))
+        assert all(t.modulus == q for t in reps)
+        assert _first_per_pattern(reps) == _first_per_pattern(
+            enumerate_algebraic(k, q)), (k, q)

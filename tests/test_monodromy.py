@@ -2,6 +2,7 @@ import random
 from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from billiard_monodromy import (
     GroupDescriptor,
@@ -20,7 +21,7 @@ from billiard_monodromy import (
 )
 from billiard_monodromy import monodromy
 from billiard_monodromy.errors import PreconditionFailed
-from billiard_monodromy.exactla import circulant, invariant_factors_mod
+from billiard_monodromy.exactla import circulant, invariant_factors_mod, smith_normal_form
 from billiard_monodromy.monodromy import (
     _canonical_deltas,
     _quadrilateral_deltas,
@@ -123,6 +124,35 @@ def test_closed_form_cores_match_general_route(k, lo, hi):
             continue
         for t in enumerate_algebraic(k, q):
             assert core(*t.entries, q) == deltas_of(t), t
+
+
+@st.composite
+def algebraic_tuples(draw, k_min, k_max, n_max=2000):
+    # free residues mixed with 1, -1, n/2 and n/3, so that periodic and
+    # cyclotomic patterns, where the local groups shrink, turn up too
+    k = draw(st.integers(k_min, k_max))
+    n = draw(st.integers(2, n_max))
+    entry = st.one_of(st.integers(0, n - 1),
+                      st.sampled_from(sorted({1, n - 1, n // 2, n // 3})))
+    entries = draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
+    entries.append(-sum(entries) % n)
+    assume(any(entries) and gcd(*entries, n) == 1)
+    return validate(entries, n, "algebraic")
+
+
+class TestRouteProperties:
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(algebraic_tuples(2, 8))
+    def test_integer_snf_matches_deltas(self, t):
+        n = t.modulus
+        divisors = smith_normal_form(circulant(t)).divisors
+        assert _canonical_deltas([n // gcd(d, n) for d in divisors]) == deltas_of(t)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(algebraic_tuples(3, 4, n_max=10**6))
+    def test_closed_forms_match_deltas(self, t):
+        form = {3: triangle_closed_form, 4: quadrilateral_closed_form}[t.k]
+        assert form(*t.entries, t.modulus).deltas == deltas_of(t)
 
 
 class TestRegularKgon:
