@@ -78,15 +78,40 @@ class SnfResult:
     divisors: tuple
 
 
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, u) with g = s*a + u*b and |g| = gcd(a, b)."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return a, s0, u0
+
+
+def _clearing_step(a: int, b: int) -> tuple:
+    """A determinant-1 matrix [[s, u], [v, w]] sending (a, b) to (g, 0)."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, s, u = _xgcd(a, b)
+    return s, u, -(b // g), a // g
+
+
 def smith_normal_form(A: list) -> SnfResult:
     """Smith normal form over the integers with both transforms.
 
-    Repeated gcd pivoting: the absolutely smallest nonzero entry of the
-    trailing block is moved to the pivot, its row and column are reduced
-    with floor-division quotients (swapping whenever a remainder survives,
-    which shrinks the pivot), and a row addition repairs any entry the
-    pivot fails to divide.  U and V accumulate the inverse elementary
-    operations so that U*D*V equals the input exactly at every step.
+    The absolutely smallest nonzero entry of the trailing block is moved to
+    the pivot a, and each nonzero entry b under or beside it is cleared by
+    one 2 x 2 step of determinant 1: with g = s*a + u*b = gcd(a, b), the
+    two rows (or columns) holding a and b are replaced by [[s, u],
+    [-b/g, a/g]] times themselves, which leaves g at the pivot and 0 at b.
+    When a divides b the plain step (s, u) = (1, 0) is used instead: the
+    extended gcd may return u != 0 there (for a negative pivot), which
+    would mix the other line back into the pivot's without shrinking it,
+    so the passes would never end.  A shrinking pivot can refill its
+    cleared column, so the passes repeat; a row addition repairs any entry
+    of the block the pivot fails to divide.  U and V absorb the inverse
+    steps, so U*D*V equals the input exactly at every step.
     """
     rows = len(A)
     cols = len(A[0])
@@ -94,36 +119,27 @@ def smith_normal_form(A: list) -> SnfResult:
     U = identity(rows)
     V = identity(cols)
 
-    def row_add(i, j, c):
-        # D: row_i += c*row_j;  U: col_j -= c*col_i
-        Di, Dj = D[i], D[j]
-        for x in range(cols):
-            Di[x] += c * Dj[x]
+    def row_step(t, i, s, u, v, w):
+        # D: rows t, i <- [[s, u], [v, w]] * rows t, i;
+        # U: columns t, i <- columns t, i * inverse
+        Dt, Di = D[t], D[i]
+        D[t] = [s * x + u * y for x, y in zip(Dt, Di)]
+        D[i] = [v * x + w * y for x, y in zip(Dt, Di)]
+        det = s * w - u * v
         for r in U:
-            r[j] -= c * r[i]
+            x, y = r[t], r[i]
+            r[t], r[i] = det * (w * x - v * y), det * (s * y - u * x)
 
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    def row_negate(i):
-        D[i] = [-x for x in D[i]]
-        for r in U:
-            r[i] = -r[i]
-
-    def col_add(i, j, c):
-        # D: col_j += c*col_i;  V: row_i -= c*row_j
+    def col_step(t, j, s, u, v, w):
+        # D: columns t, j <- columns t, j * [[s, v], [u, w]];
+        # V: rows t, j <- inverse * rows t, j
         for r in D:
-            r[j] += c * r[i]
-        Vi, Vj = V[i], V[j]
-        for x in range(cols):
-            Vi[x] -= c * Vj[x]
-
-    def col_swap(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
+            x, y = r[t], r[j]
+            r[t], r[j] = s * x + u * y, v * x + w * y
+        det = s * w - u * v
+        Vt, Vj = V[t], V[j]
+        V[t] = [det * (w * x - v * y) for x, y in zip(Vt, Vj)]
+        V[j] = [det * (s * y - u * x) for x, y in zip(Vt, Vj)]
 
     limit = min(rows, cols)
     for t in range(limit):
@@ -137,30 +153,17 @@ def smith_normal_form(A: list) -> SnfResult:
         if piv is None:
             break
         if piv[0] != t:
-            row_swap(t, piv[0])
+            row_step(t, piv[0], 0, 1, 1, 0)
         if piv[1] != t:
-            col_swap(t, piv[1])
+            col_step(t, piv[1], 0, 1, 1, 0)
         while True:
-            dirty = False
             for i in range(t + 1, rows):
                 if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    if q:
-                        row_add(i, t, -q)
-                    if D[i][t]:
-                        row_swap(i, t)
-                        dirty = True
-            if dirty:
-                continue
+                    row_step(t, i, *_clearing_step(D[t][t], D[i][t]))
             for j in range(t + 1, cols):
                 if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    if q:
-                        col_add(t, j, -q)
-                    if D[t][j]:
-                        col_swap(j, t)
-                        dirty = True
-            if dirty:
+                    col_step(t, j, *_clearing_step(D[t][t], D[t][j]))
+            if any(D[i][t] for i in range(t + 1, rows)):
                 continue
             culprit = next(
                 (i for i in range(t + 1, rows)
@@ -168,9 +171,11 @@ def smith_normal_form(A: list) -> SnfResult:
                 None)
             if culprit is None:
                 break
-            row_add(t, culprit, 1)
+            row_step(t, culprit, 1, 1, 0, 1)
         if D[t][t] < 0:
-            row_negate(t)
+            D[t] = [-x for x in D[t]]
+            for r in U:
+                r[t] = -r[t]
     # from a list, not a generator: see PolygonTuple.residues
     return SnfResult(U, D, V, tuple([D[i][i] for i in range(limit)]))
 

@@ -132,6 +132,14 @@ class TestFactor:
             {"coeffs": [1, 1, 1], "multiplicity": 1},
         ]
 
+    def test_strong_pseudoprime_modulus_is_refused(self, capsys):
+        # 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37
+        code, out, err = run(capsys, "factor", "--k", "3", "--p",
+                             "318665857834031151167461")
+        assert code == 1
+        assert out == ""
+        assert "318665857834031151167461 is not prime" in err
+
 
 @pytest.mark.parametrize("argv,expected", [
     (["factor", "--k", "4", "--p", "1000000007"],

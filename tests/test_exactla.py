@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from billiard_monodromy import circulant, minor_gcd, rank_mod_p, smith_normal_form, validate
+from billiard_monodromy import circulant, exactla, minor_gcd, rank_mod_p, smith_normal_form, validate
 from billiard_monodromy.errors import JOutOfRange, PNotPrime
 from billiard_monodromy.exactla import det, identity, invariant_factors_mod, mat_mul
 
@@ -71,6 +71,109 @@ class TestSmithNormalForm:
             for j, d in enumerate(divs, start=1):
                 acc *= d
                 assert acc == minor_gcd(A, j)
+
+
+def _floor_quotient_divisors(A):
+    # slow route: repeated floor-quotient row and column reductions, swapping
+    # the remainder into the pivot, with the same pivot choice, culprit row
+    # addition and sign fix; its entries grow with every swap, so D only
+    D = [row[:] for row in A]
+    rows, cols = len(D), len(D[0])
+    limit = min(rows, cols)
+    for t in range(limit):
+        nonzero = [(abs(D[i][j]), i, j) for i in range(t, rows)
+                   for j in range(t, cols) if D[i][j]]
+        if not nonzero:
+            break
+        _, pi, pj = min(nonzero)
+        D[t], D[pi] = D[pi], D[t]
+        for r in D:
+            r[t], r[pj] = r[pj], r[t]
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if D[i][t]:
+                    q = D[i][t] // D[t][t]
+                    D[i] = [x - q * y for x, y in zip(D[i], D[t])]
+                    if D[i][t]:
+                        D[i], D[t] = D[t], D[i]
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if D[t][j]:
+                    q = D[t][j] // D[t][t]
+                    for r in D:
+                        r[j] -= q * r[t]
+                    if D[t][j]:
+                        for r in D:
+                            r[t], r[j] = r[j], r[t]
+                        dirty = True
+            if dirty:
+                continue
+            culprit = next(
+                (i for i in range(t + 1, rows)
+                 if any(D[i][j] % D[t][t] for j in range(t + 1, cols))),
+                None)
+            if culprit is None:
+                break
+            D[t] = [x + y for x, y in zip(D[t], D[culprit])]
+        D[t] = [abs(x) for x in D[t]]
+    return tuple(D[i][i] for i in range(limit))
+
+
+def _random_algebraic_circulant(rng, k, n):
+    while True:
+        entries = [rng.randrange(n) for _ in range(k - 1)]
+        entries.append(-sum(entries) % n)
+        if any(entries) and gcd(*entries, n) == 1:
+            return circulant(validate(entries, n))
+
+
+class TestExtendedGcdSteps:
+    def test_divisors_match_floor_quotient_route(self):
+        # rectangular, singular (a row that combines two others) and zero
+        # rows, entries up to 10^4
+        rng = random.Random(43)
+        for trial in range(300):
+            A = random_matrix(rng, max_dim=7, max_entry=10**4)
+            rows, cols = len(A), len(A[0])
+            if trial % 3 == 0 and rows > 2:
+                A[-1] = [2 * x - y for x, y in zip(A[0], A[1])]
+            if trial % 5 == 0:
+                A[rng.randrange(rows)] = [0] * cols
+            res = assert_snf_contract(A)
+            assert res.divisors == _floor_quotient_divisors(A), A
+
+    def test_negative_pivot_dividing_its_lines_terminates(self, monkeypatch):
+        # the extended gcd of a negative pivot and a multiple of it may
+        # return u != 0, a step that does not shrink the pivot; without the
+        # plain step for that case this matrix never finishes
+        steps = []
+        clearing_step = exactla._clearing_step
+
+        def counted(a, b):
+            steps.append((a, b))
+            assert len(steps) < 1000, "clearing steps do not terminate"
+            return clearing_step(a, b)
+
+        monkeypatch.setattr(exactla, "_clearing_step", counted)
+        A = [[0, 10, 1, 8], [-1, 0, -9, -11], [1, -4, -1, 0]]
+        assert assert_snf_contract(A).divisors == (1, 1, 3)
+        assert any(a < 0 and b % a == 0 for a, b in steps)
+
+    def test_transforms_stay_small_on_six_by_six_circulants(self):
+        # floor quotients gave U a median of about 2,400 bits here and a
+        # maximum above 50,000; the extended-gcd steps keep every entry of
+        # U and V near 1,000 bits at most
+        rng = random.Random(47)
+        worst = 0
+        for _ in range(300):
+            n = rng.randint(10**4, 10**6)
+            res = smith_normal_form(_random_algebraic_circulant(rng, 6, n))
+            worst = max(worst, *(abs(x).bit_length()
+                                 for M in (res.U, res.V) for row in M for x in row))
+        assert worst <= 1200
 
 
 class TestMinorGcd:

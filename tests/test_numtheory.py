@@ -57,6 +57,13 @@ def test_large_moduli(n, expected):
     _assert_same(prime_factorization(n), expected)
 
 
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_bases_2_to_37():
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
 def test_rho_cap(monkeypatch):
     monkeypatch.setattr(numtheory, "POLLARD_RHO_CAP", 10)
     n = 1000003 * 1000033
