@@ -21,6 +21,10 @@ EXIT_DOMAIN = 1
 EXIT_CAP = 2
 EXIT_USAGE = 3
 
+# tuples `enumerate` lists before it stops with exit 2; with --groups that
+# takes about 1 s at k = 5 and, as group_of slows with k, 28 s at k = 32
+ENUMERATE_CAP = 10_000
+
 
 class _Usage(Exception):
     pass
@@ -39,20 +43,29 @@ def _parse_tuple(text):
         raise _Usage(f"tuple must be comma-separated integers, got {text!r}")
 
 
-def _env_cap(default):
-    raw = os.environ.get("BILLIARD_MONODROMY_MAX_CAP")
-    if raw is None:
-        return default
+def _positive(text):
     try:
-        return int(raw)
+        if int(text) > 0:
+            return int(text)
     except ValueError:
-        raise _Usage(f"BILLIARD_MONODROMY_MAX_CAP must be an integer, got {raw!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _cap(flag, default):
+    # an explicit flag beats the environment, which beats the default
+    if flag is not None:
+        return flag
+    raw = os.environ.get("BILLIARD_MONODROMY_MAX_CAP")
+    try:
+        return default if raw is None else _positive(raw)
+    except argparse.ArgumentTypeError as e:
+        raise _Usage(f"BILLIARD_MONODROMY_MAX_CAP {e}")
 
 
 def _caps(args):
-    span = args.max_span if args.max_span else _env_cap(oracle.DEFAULT_SPAN_CAP)
-    group = args.max_group if args.max_group else _env_cap(oracle.DEFAULT_GROUP_CAP)
-    return span, group
+    return (_cap(args.max_span, oracle.DEFAULT_SPAN_CAP),
+            _cap(args.max_group, oracle.DEFAULT_GROUP_CAP))
 
 
 def _add_tuple_args(sp):
@@ -61,9 +74,9 @@ def _add_tuple_args(sp):
 
 
 def _add_cap_args(sp):
-    sp.add_argument("--max-span", type=int, default=0,
+    sp.add_argument("--max-span", type=_positive,
                     help=f"span enumeration cap (default {oracle.DEFAULT_SPAN_CAP})")
-    sp.add_argument("--max-group", type=int, default=0,
+    sp.add_argument("--max-group", type=_positive,
                     help=f"group closure cap (default {oracle.DEFAULT_GROUP_CAP})")
 
 
@@ -148,6 +161,9 @@ def cmd_enumerate(args):
            else enumerate_algebraic)(args.k, args.n)
     items, lines = [], []
     for t in gen:
+        if len(items) == ENUMERATE_CAP:
+            raise CapExceeded(f"enumerating {args.level} {args.k}-tuples mod {args.n} "
+                              f"exceeded ENUMERATE_CAP={ENUMERATE_CAP} tuples", partial=len(items))
         item = {"tuple": t.to_json_dict()}
         line = str(t)
         if args.groups:
@@ -209,7 +225,7 @@ def cmd_lift(args):
 
 
 def cmd_composite(args):
-    cap = args.max_cases if args.max_cases else _env_cap(construct.DEFAULT_PRIME_POWER_CAP)
+    cap = _cap(args.max_cases, construct.DEFAULT_PRIME_POWER_CAP)
     result = construct.composite_feasible(
         args.k, args.n, _parse_tuple(args.deltas), per_prime_cap=cap)
     if result.feasible:
@@ -302,7 +318,7 @@ def build_parser():
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--deltas", required=True,
                     help="target invariant factors, comma-separated")
-    sp.add_argument("--max-cases", type=int, default=0,
+    sp.add_argument("--max-cases", type=_positive,
                     help="per-prime-power enumeration cap "
                          f"(default {construct.DEFAULT_PRIME_POWER_CAP})")
     sp.set_defaults(func=cmd_composite)

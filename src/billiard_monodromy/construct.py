@@ -10,7 +10,7 @@ covering decision procedure for composite moduli.
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 from .errors import (
@@ -31,7 +31,7 @@ from .monodromy import (
     _triangle_deltas,
     deltas_of,
 )
-from .numtheory import crt_pair, divisors, is_prime, prime_factorization, smallest_primitive_root
+from .numtheory import crt_pair, is_prime, prime_factorization, smallest_primitive_root
 from .polygon import (
     PolygonTuple,
     # unused here, but perfbench/tracing.py patches construct.enumerate_algebraic
@@ -45,9 +45,10 @@ from .polyfp import FpPoly, close_zero_gap, factor_xk_minus_1, w_function, xk_mi
 
 DEFAULT_PRIME_POWER_CAP = 1_000_000
 
-# triangles classify_triangles may scan; every n < 20,000 needs at most
-# 9,731 (n = 19,603)
-TRIANGLE_SCAN_CAP = 1_000_000
+# divisors of n plus CRT roots that classify_triangles may list: the product
+# over q^e || n of (1 + sum over j <= e of max(1, #roots mod q^j)); ten
+# primes 1 mod 3 need 3^10 = 59,049
+TRIANGLE_ROOT_CAP = 100_000
 
 
 # ---- calculus of algebraic tuples ----
@@ -307,45 +308,42 @@ def classify_prime(k: int, p: int) -> ClassificationReport:
 
 def _alpha_admissible(alpha: int) -> bool:
     # alpha = 3^i * product of primes = 1 mod 3, with i at most 1
-    for q, e in prime_factorization(alpha).items():
-        if q == 3:
-            if e > 1:
-                return False
-        elif q % 3 != 1:
-            return False
-    return True
+    return all(q % 3 == 1 or (q, e) == (3, 1) for q, e in prime_factorization(alpha).items())
 
 
-def _cube_root_of_unity_exists(m: int) -> bool:
-    # whether t^2 + t + 1 = 0 has a root mod m, for m prime or 9; for a
-    # prime q > 3 the roots are (-1 +- sqrt(-3))/2, so by Euler's
-    # criterion one exists iff (-3)^((q-1)/2) = 1 mod q
-    if m in (2, 3, 9):
-        return any((t * t + t + 1) % m == 0 for t in range(m))
-    return pow(-3 % m, (m - 1) // 2, m) == 1
+def _cube_roots(q: int, j: int) -> list:
+    # the roots of t^2 + t + 1 mod q^j: none mod 2 or 9, so none mod their
+    # powers; for q > 3 the cube roots of unity w != 1 mod q, which exist
+    # iff -3 is a square (Euler's criterion), each lifted to w^(q^(j-1)),
+    # which is w mod q and cubes to 1 mod q^j
+    if q <= 3:
+        m = q ** min(j, 2)
+        return [t for t in range(m) if (t * t + t + 1) % m == 0]
+    if pow(-3 % q, (q - 1) // 2, q) != 1:
+        return []
+    return sorted(pow(w, q ** (j - 1), q**j)
+                  for w in polyfp._roots_of_unity(q, 3)[1:])
 
 
 def classify_triangles(n: int) -> ClassificationReport:
     """All triangle groups (C_n x C_{n/alpha}) : C_3 for a modulus n.
 
-    Admissible alpha are the divisors of n of the form 3^i * (primes that
-    are 1 mod 3), i <= 1.  Geometric triangles mod n are scanned in
-    lexicographic order and the first hit per alpha becomes its witness.
-    The scan stops once every admissible alpha has a witness; an
-    inadmissible alpha met on the way, or a scan that runs out first,
-    raises InternalVerificationFailed, and a scan that reaches
-    TRIANGLE_SCAN_CAP triangles raises CapExceeded.
+    A geometric triangle [a0, a1, a2] has alpha = gcd(n, a0*a2 - a1^2),
+    and a0*a2 - a1^2 = -(a0^2 + a0*a1 + a1^2) mod n.  As gcd(a0, a1, n)
+    = 1, a prime q | n dividing that form does not divide a1, so q^j
+    divides it iff a0/a1 is a root of t^2 + t + 1 mod q^j: alpha occurs
+    only if there is a root mod each prime power q^j exactly dividing it.
+    The row a0 = 1, where the form is 1 + a1 + a1^2, realizes each such
+    alpha: by CRT some a1 < n is a root mod alpha but, for each q^j
+    exactly dividing alpha (j >= 0) with q^(j+1) | n, not mod q^(j+1).
+    The row comes first in lexicographic order, so the witness is its
+    least such a1: the least r + i*alpha, over the CRT combinations r of
+    the roots, of that gcd.
 
-    The triangles the early stop skips are covered prime by prime: with
-    a2 = n - a0 - a1, alpha = gcd(n, a0*a2 - a1^2) and a0*a2 - a1^2 is
-    -(a0^2 + a0*a1 + a1^2) mod n.  As gcd(a0, a1, n) = 1, a prime q | n
-    divides that form only if t = a0/a1 mod q is a root of t^2 + t + 1,
-    and 9 divides it only for a root mod 9.  So every prime q | n (and 9,
-    when 9 | n) that the admissibility rule refuses must leave
-    t^2 + t + 1 without roots, and every refused alpha must be a multiple
-    of one of them; otherwise InternalVerificationFailed is raised.  For a
-    prime q > 3 the roots are read off Euler's criterion for -3, so the
-    certificate does not scan Z/q.
+    Whether alpha occurs must agree with the admissibility rule (alpha =
+    3^i * primes that are 1 mod 3, i <= 1), or InternalVerificationFailed
+    is raised.  CapExceeded, before any divisor is listed, when the
+    divisors of n and the CRT roots exceed TRIANGLE_ROOT_CAP.
     """
     if n < 3:
         raise NTooSmall(f"need n >= 3, got {n}")
@@ -356,54 +354,34 @@ def classify_triangles(n: int) -> ClassificationReport:
             achievable=[only],
             witnesses={only: validate([1, 1, 1], 3, "geometric")},
             excluded=[(GroupDescriptor(3, 3, (3, 3)), "single-triangle-modulus")])
-    admissible = {a for a in divisors(n) if _alpha_admissible(a)}
-    blockers = [m for m in [*prime_factorization(n), 9] if n % m == 0
-                and not _alpha_admissible(m)]
-    for m in blockers:
-        if _cube_root_of_unity_exists(m):
-            raise InternalVerificationFailed(
-                f"triangle classification mismatch at n={n}: alpha={m} "
-                f"is refused but t^2 + t + 1 = 0 has a root mod {m}")
-    for alpha in divisors(n):
-        if alpha not in admissible and all(alpha % m for m in blockers):
-            raise InternalVerificationFailed(
-                f"triangle classification mismatch at n={n}: no refused prime "
-                f"or 9 divides the refused alpha={alpha}")
-    found = {}
-    triangles = ((a0, a1, n - a0 - a1)
-                 for a0 in range(1, n - 1) for a1 in range(1, n - a0))
-    for scanned, (a0, a1, a2) in enumerate(triangles):
-        if scanned == TRIANGLE_SCAN_CAP:
-            raise CapExceeded(
-                f"the triangle scan mod {n} exceeded "
-                f"TRIANGLE_SCAN_CAP={TRIANGLE_SCAN_CAP} triangles",
-                partial=scanned)
-        if gcd(a0, a1, a2, n) != 1:
-            continue
-        alpha = gcd(n, a0 * a2 - a1 * a1)
-        if alpha not in admissible:
-            raise InternalVerificationFailed(
-                f"triangle classification mismatch at n={n}: "
-                f"{[a0, a1, a2]} has alpha={alpha}, predicted {sorted(admissible)}")
-        if alpha not in found:
-            found[alpha] = (a0, a1, a2)
-            if len(found) == len(admissible):
-                break
-    else:
-        raise InternalVerificationFailed(
-            f"triangle classification mismatch at n={n}: "
-            f"search found alpha in {sorted(found)}, predicted {sorted(admissible)}")
-    achievable = []
-    witnesses = {}
-    for alpha in sorted(admissible):
+    # per prime q | n, each q^j | n (j >= 0) with the roots mod q^j
+    by_prime = [[(1, [0])] + [(q**j, _cube_roots(q, j)) for j in range(1, e + 1)]
+                for q, e in prime_factorization(n).items()]
+    work = prod(sum(max(1, len(rs)) for _, rs in powers) for powers in by_prime)
+    if work > TRIANGLE_ROOT_CAP:
+        raise CapExceeded(
+            f"classifying triangles mod {n} lists {work} divisors and roots, "
+            f"over TRIANGLE_ROOT_CAP={TRIANGLE_ROOT_CAP}")
+    achievable, witnesses, excluded = [], {}, []
+    for alpha, parts in sorted((prod(g for g, _ in parts), parts) for parts in product(*by_prime)):
         desc = GroupDescriptor(n, 3, tuple([d for d in (n, n // alpha) if d > 1]))
+        missing = [g for g, rs in parts if not rs]
+        if _alpha_admissible(alpha) == bool(missing):
+            raise InternalVerificationFailed(
+                f"triangle classification mismatch at n={n}: the rule disagrees on "
+                f"alpha={alpha}, whose prime powers without a root of t^2 + t + 1 "
+                f"are {missing}")
+        if missing:
+            excluded.append((desc, "norm-form-admissibility"))
+            continue
+        combined, m = [0], 1
+        for g, rs in parts:
+            combined, m = [crt_pair(c, m, r, g) for c in combined for r in rs], m * g
+        combined.sort()
+        a1 = next(a for i in range(n // alpha + 1) for r in combined
+                  if 1 <= (a := r + i * alpha) <= n - 2 and gcd(n, 1 + a + a * a) == alpha)
         achievable.append(desc)
-        witnesses[desc] = validate(found[alpha], n, "geometric")
-    excluded = [
-        (GroupDescriptor(n, 3, tuple([d for d in (n, n // alpha) if d > 1])),
-         "norm-form-admissibility")
-        for alpha in divisors(n) if alpha not in admissible
-    ]
+        witnesses[desc] = validate([1, a1, n - 1 - a1], n, "geometric")
     return ClassificationReport(
         parameters={"n": n}, achievable=achievable,
         witnesses=witnesses, excluded=excluded)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import billiard_monodromy
-from billiard_monodromy import construct, numtheory, polyfp
+from billiard_monodromy import cli, numtheory, polyfp
 from billiard_monodromy.cli import main
 
 
@@ -259,16 +259,74 @@ def test_factor_k_cap_admits_the_cap(capsys):
     assert code == 0 and len(out.splitlines()) == 128
 
 
-def test_triangle_scan_cap_exit_code(capsys, monkeypatch):
-    # a prime n = 1 mod 3 whose row a0 = 1 runs to a cube root of unity
-    monkeypatch.setattr(construct, "TRIANGLE_SCAN_CAP", 10)
-    code, out, err = run(capsys, "classify-triangle", "--n", "1000000000000000003")
+def test_triangle_witness_for_a_large_prime(capsys):
+    # a prime n = 1 mod 3: alpha = n is witnessed at the lesser cube root of
+    # unity a1, and the other root is a2 = n - 1 - a1
+    n = 1000000000000000003
+    a1 = 499999999500000001
+    assert (1 + a1 + a1 * a1) % n == 0
+    code, out, _ = run(capsys, "classify-triangle", "--n", str(n))
+    assert code == 0
+    assert out.splitlines() == [
+        f"(C{n} x C{n}) : C3, order {3 * n * n}  witness [1, 1, {n - 2}] (mod {n})",
+        f"(C{n}) : C3, order {3 * n}  witness [1, {a1}, {n - 1 - a1}] (mod {n})"]
+    code, out, _ = run(capsys, "classify-triangle", "--n", str(n), "--json")
+    assert code == 0
+    assert out == (
+        '{"achievable":[{"group":{"deltas":[1000000000000000003,'
+        '1000000000000000003],"k":3,"n":1000000000000000003,'
+        '"order":3000000000000000018000000000000000027},"witness":{"entries":'
+        '[1,1,1000000000000000001],"n":1000000000000000003}},{"group":'
+        '{"deltas":[1000000000000000003],"k":3,"n":1000000000000000003,'
+        '"order":3000000000000000009},"witness":{"entries":[1,'
+        '499999999500000001,500000000500000001],"n":1000000000000000003}}],'
+        '"excluded":[],"parameters":{"n":1000000000000000003}}\n')
+
+
+def test_triangle_root_cap_exit_code(capsys):
+    # eleven primes 1 mod 3, each with two roots: 3^11 divisors and roots
+    n = 7 * 13 * 19 * 31 * 37 * 43 * 61 * 67 * 73 * 79 * 97
+    code, out, err = run(capsys, "classify-triangle", "--n", str(n))
     assert (code, out) == (2, "")
-    assert err == ("cap exceeded: the triangle scan mod 1000000000000000003 "
-                   "exceeded TRIANGLE_SCAN_CAP=10 triangles\n")
+    assert err == (f"cap exceeded: classifying triangles mod {n} lists 177147 "
+                   "divisors and roots, over TRIANGLE_ROOT_CAP=100000\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv,flag", [
+    (["group", "--n", "5", "--tuple", "2,2,2,4", "--verify"], "--max-span"),
+    (["verify", "--n", "5", "--tuple", "2,2,2,4"], "--max-group"),
+    (["composite", "--k", "3", "--n", "10", "--deltas", "10,10"], "--max-cases"),
+    (["group", "--n", "5", "--tuple", "2,2,2,4", "--verify"], None),
+], ids=["max-span", "max-group", "max-cases", "env"])
+def test_cap_must_be_positive(capsys, monkeypatch, argv, flag, value):
+    if flag is None:
+        monkeypatch.setenv("BILLIARD_MONODROMY_MAX_CAP", value)
+        name = "BILLIARD_MONODROMY_MAX_CAP"
+    else:
+        argv = [*argv, flag, value]
+        name = f"argument {flag}:"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == (
+        f"error: {name} must be a positive integer, got '{value}'")
 
 
 class TestEnumerate:
+    def test_cap_exit_code(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--k", "5", "--n", "200")
+        assert (code, out) == (2, "")
+        assert err == ("cap exceeded: enumerating geometric 5-tuples mod 200 "
+                       "exceeded ENUMERATE_CAP=10000 tuples\n")
+
+    def test_cap_admits_the_cap(self, capsys, monkeypatch):
+        # there are 9 geometric triangles mod 6
+        monkeypatch.setattr(cli, "ENUMERATE_CAP", 9)
+        code, out, _ = run(capsys, "enumerate", "--k", "3", "--n", "6", "--groups")
+        assert code == 0 and out.endswith("9 tuples\n")
+        monkeypatch.setattr(cli, "ENUMERATE_CAP", 8)
+        assert run(capsys, "enumerate", "--k", "3", "--n", "6")[0] == 2
+
     def test_single_triangle_mod3(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--k", "3", "--n", "3")
         assert code == 0

@@ -23,7 +23,7 @@ from billiard_monodromy import (
 from billiard_monodromy import construct
 from billiard_monodromy.construct import (
     _associate_representatives,
-    _cube_root_of_unity_exists,
+    _cube_roots,
     _generic_divisor,
     _subset_with_degree,
 )
@@ -358,18 +358,33 @@ class TestClassifyTriangles:
         assert classify_triangles(2707).to_json_dict() == _triangle_report(
             2707, {1: (1, 1, 2705), 2707: (1, 1327, 1379)}, [])
 
-    def test_scan_cap_clears_the_longest_scan_below_20000(self, monkeypatch):
-        # n = 19,603 scans 9,731 triangles, the most of any n < 20,000
-        monkeypatch.setattr(construct, "TRIANGLE_SCAN_CAP", 9731)
-        assert len(classify_triangles(19603).achievable) == 2
-        monkeypatch.setattr(construct, "TRIANGLE_SCAN_CAP", 9730)
-        with pytest.raises(CapExceeded, match="TRIANGLE_SCAN_CAP=9730"):
-            classify_triangles(19603)
+    def test_matches_row_one_scan(self):
+        # slow route: the least a1 per alpha = gcd(n, 1 + a1 + a1^2) over
+        # the row [1, a1, n - 1 - a1]; the row realizes every alpha
+        rng = random.Random(11)
+        for n in (rng.randrange(300, 10**5) for _ in range(30)):
+            first = {}
+            for a1 in range(1, n - 1):
+                first.setdefault(gcd(n, 1 + a1 + a1 * a1), (1, a1, n - 1 - a1))
+            excluded = [a for a in divisors(n) if a not in first]
+            assert classify_triangles(n).to_json_dict() \
+                == _triangle_report(n, first, excluded), n
+
+    def test_root_cap_counts_divisors_and_roots(self, monkeypatch):
+        # n = 7 * 13: each prime has two roots, so (1 + 2) * (1 + 2) = 9
+        monkeypatch.setattr(construct, "TRIANGLE_ROOT_CAP", 9)
+        assert len(classify_triangles(91).achievable) == 4
+        monkeypatch.setattr(construct, "TRIANGLE_ROOT_CAP", 8)
+        with pytest.raises(CapExceeded, match="lists 9 divisors and roots, "
+                                              "over TRIANGLE_ROOT_CAP=8"):
+            classify_triangles(91)
 
     def test_cube_root_criterion_matches_scan(self):
-        for q in [*(q for q in range(2, 10**4) if is_prime(q)), 9]:
-            scan = any((t * t + t + 1) % q == 0 for t in range(q))
-            assert _cube_root_of_unity_exists(q) == scan, q
+        # every prime power below 5000, so the lifts at 49, 169, 343, ... too
+        for q, j in ((q, j) for q in range(2, 5000) if is_prime(q)
+                     for j in range(1, 13) if q**j < 5000):
+            scan = [t for t in range(q**j) if (t * t + t + 1) % q**j == 0]
+            assert _cube_roots(q, j) == scan, (q, j)
 
     def test_refusing_an_occurring_prime_fails_the_certificate(self, monkeypatch):
         admissible = construct._alpha_admissible
@@ -390,7 +405,8 @@ class TestClassifyTriangles:
         admissible = construct._alpha_admissible
         monkeypatch.setattr(construct, "_alpha_admissible",
                             lambda a: admissible(a // 5 if a % 5 == 0 else a))
-        with pytest.raises(InternalVerificationFailed, match="search found"):
+        with pytest.raises(InternalVerificationFailed,
+                           match=r"without a root of t\^2 \+ t \+ 1 are \[5\]"):
             classify_triangles(35)
 
 
