@@ -374,10 +374,14 @@ def classify_triangles(n: int) -> ClassificationReport:
         if missing:
             excluded.append((desc, "norm-form-admissibility"))
             continue
-        combined, m = [0], 1
+        # the CRT basis element for g (1 mod g, 0 mod alpha/g) makes each
+        # combined root one multiply-add; g = 1 contributes nothing
+        combined = [0]
         for g, rs in parts:
-            combined, m = [crt_pair(c, m, r, g) for c in combined for r in rs], m * g
-        combined.sort()
+            if g > 1:
+                basis = alpha // g * pow(alpha // g, -1, g)
+                combined = [c + r * basis for c in combined for r in rs]
+        combined = sorted(c % alpha for c in combined)
         a1 = next(a for i in range(n // alpha + 1) for r in combined
                   if 1 <= (a := r + i * alpha) <= n - 2 and gcd(n, 1 + a + a * a) == alpha)
         achievable.append(desc)

@@ -2,12 +2,16 @@
 and ranks over prime fields.
 
 Matrices are plain lists of rows of Python ints, so every pivot stays exact
-no matter how fast the entries grow during the reduction.
+no matter how fast the entries grow during the reduction.  The local
+elimination mod a prime power (``_local_divisors``) instead packs each row
+into one int, a fixed-width field per column, so that one big-int
+multiply-add updates a whole row and only pivot rows are reduced.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+import struct
 
 from .errors import JOutOfRange, PNotPrime
 from .numtheory import is_prime, prime_factorization
@@ -180,66 +184,95 @@ def smith_normal_form(A: list) -> SnfResult:
     return SnfResult(U, D, V, tuple([D[i][i] for i in range(limit)]))
 
 
+def _row_codec(cols: int, w: int) -> tuple:
+    """(encode, decode) between cols field values and one int holding
+    value j in bits [w*j, w*j + w): ``struct`` at C speed when w = 64,
+    shifts and masks when the fields are wider.
+
+    The oracle packs its span vectors the same way with its own code, so
+    that the two routes to the group structure share nothing.
+    """
+    if w == 64:
+        fmt = struct.Struct(f"<{cols}Q")
+        size = 8 * cols
+        return (lambda xs: int.from_bytes(fmt.pack(*xs), "little"),
+                lambda r: fmt.unpack(r.to_bytes(size, "little")))
+    field = (1 << w) - 1
+    return (lambda xs: sum(x << (w * j) for j, x in enumerate(xs)),
+            lambda r: [r >> (w * j) & field for j in range(cols)])
+
+
 def _local_divisors(A: list, p: int, e: int) -> list:
     """Invariant factors of A over Z/p^eZ: powers p^v, ascending valuation.
 
-    The pivot of minimal p-adic valuation divides the whole trailing block,
-    so each stage clears its row and column in one pass and every entry
-    stays reduced mod p^e; this equals gcd(d_i, p^e) for the integer SNF
-    divisors d_i without their coefficient growth.
+    Each row is one int with a w-bit field per column (``_row_codec``); a
+    field holds a value congruent to its entry mod q = p^e, reduced only
+    when its row becomes a pivot.  Each stage takes a pivot of least p-adic
+    valuation v, in the first row whose fields have gcd p^v with q; a row
+    at the previous stage's valuation (at the first stage, a unit) ends the
+    search.  p^v divides the whole remaining block, so the pivot row alone
+    is decoded, divided by p^v and scaled by the inverse of its pivot's
+    unit part mod q.  Every other row then takes m * (full - pivot row) in
+    one big-int multiply-add, where m is its pivot-column field mod q (a
+    multiple of p^v) and ``full`` holds q in every field: that subtracts
+    m / p^v times the unit's inverse times the pivot row mod q, and leaves
+    the pivot column = 0 mod q.  The pivot row is dropped and the columns
+    stay in place; a column = 0 mod q is never chosen again.
+
+    The lazy fields give exact valuations: a field is congruent to its
+    entry mod q, and p^j divides q for every j <= e, so its gcd with q is
+    p^min(v, e) for the entry's valuation v, as if it were reduced.  Field
+    width: a field starts below q, and each stage adds m * (q - y) < q^2 to
+    it, at most min(rows, cols) times, so it stays below
+    q + min(rows, cols) * q^2; w is that bound's bit length, or 64 when the
+    bound fits in 64 bits.
+
+    The result equals gcd(d_i, p^e) for the integer SNF divisors d_i of A,
+    without their coefficient growth.
     """
     q = p**e
-    M = [[x % q for x in row] for row in A]
-    rows, cols = len(M), len(M[0])
-    limit = min(rows, cols)
-
-    def val(x):
-        if x == 0:
-            return e
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
+    cols = len(A[0])
+    limit = min(len(A), cols)
+    w = max(64, (q + limit * q * q).bit_length())
+    encode, decode = _row_codec(cols, w)
+    field = (1 << w) - 1
+    full = encode([q] * cols)
+    rows = [encode([x % q for x in row]) for row in A]
     out = []
-    for t in range(limit):
-        piv, vmin = None, e
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = val(M[i][j])
-                if v < vmin:
-                    piv, vmin = (i, j), v
-                    if v == 0:
-                        break
-            if vmin == 0:
-                break
+    pv = 1
+    while True:
+        best, piv = q, None
+        for i, r in enumerate(rows):
+            ys = decode(r)
+            g = gcd(q, *ys)
+            if g < best:
+                best, piv, xs = g, i, ys
+                if g == pv:
+                    break
         if piv is None:
-            out.extend([q] * (limit - t))
-            break
-        M[t], M[piv[0]] = M[piv[0]], M[t]
-        if piv[1] != t:
-            for r in M:
-                r[t], r[piv[1]] = r[piv[1]], r[t]
-        unit = M[t][t] // p**vmin
-        inv = pow(unit, -1, q)
-        M[t] = [x * inv % q for x in M[t]]
-        pv = p**vmin
-        for i in range(t + 1, rows):
-            if M[i][t]:
-                f = M[i][t] // pv
-                Mi, Mt = M[i], M[t]
-                for x in range(t, cols):
-                    Mi[x] = (Mi[x] - f * Mt[x]) % q
-        for j in range(t + 1, cols):
-            M[t][j] = 0
+            return out + [q] * (limit - len(out))
+        pv = best
         out.append(pv)
-    return out
+        if len(out) == limit:
+            return out
+        del rows[piv]
+        pp = pv * p
+        for c, x in enumerate(xs):
+            if x % pp:
+                break
+        inv = pow(xs[c] // pv, -1, q)
+        diff = full - encode([x // pv * inv % q for x in xs])
+        shift = w * c
+        for i, r in enumerate(rows):
+            m = (r >> shift & field) % q
+            if m:
+                rows[i] = r + m * diff
 
 
 def invariant_factors_mod(A: list, n: int) -> tuple:
     """gcd(d_i, n) for the integer SNF divisors d_i of A, computed one
-    prime power of n at a time so entries never leave [0, n)."""
+    prime power p^e of n at a time by ``_local_divisors``, whose packed
+    entries stay below a bound fixed by p^e and the size of A."""
     limit = min(len(A), len(A[0]))
     out = [1] * limit
     for p, e in prime_factorization(n).items():

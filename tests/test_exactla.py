@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from billiard_monodromy import circulant, exactla, minor_gcd, rank_mod_p, smith_normal_form, validate
 from billiard_monodromy.errors import JOutOfRange, PNotPrime
@@ -244,3 +245,131 @@ def test_local_divisors_match_integer_snf():
     divs = smith_normal_form(C).divisors
     assert invariant_factors_mod(C, 35) == tuple(gcd(d, 35) for d in divs)
 
+
+def _list_local_divisors(A, p, e):
+    # slow route: Gaussian elimination over Z/p^e on lists of rows, every
+    # entry reduced mod p^e at every step; the pivot of least valuation is
+    # swapped into place, and each stage costs one Python-level % per entry
+    q = p**e
+    M = [[x % q for x in row] for row in A]
+    rows, cols = len(M), len(M[0])
+    limit = min(rows, cols)
+
+    def val(x):
+        if x == 0:
+            return e
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    out = []
+    for t in range(limit):
+        piv, vmin = None, e
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = val(M[i][j])
+                if v < vmin:
+                    piv, vmin = (i, j), v
+                    if v == 0:
+                        break
+            if vmin == 0:
+                break
+        if piv is None:
+            out.extend([q] * (limit - t))
+            break
+        M[t], M[piv[0]] = M[piv[0]], M[t]
+        if piv[1] != t:
+            for r in M:
+                r[t], r[piv[1]] = r[piv[1]], r[t]
+        unit = M[t][t] // p**vmin
+        inv = pow(unit, -1, q)
+        M[t] = [x * inv % q for x in M[t]]
+        pv = p**vmin
+        for i in range(t + 1, rows):
+            if M[i][t]:
+                f = M[i][t] // pv
+                Mi, Mt = M[i], M[t]
+                for x in range(t, cols):
+                    Mi[x] = (Mi[x] - f * Mt[x]) % q
+        for j in range(t + 1, cols):
+            M[t][j] = 0
+        out.append(pv)
+    return out
+
+
+_PRIMES = (2, 3, 5, 1000003)
+
+
+def _local_case(rng, p, e, rows, cols, shape):
+    # shape 0: entries of any valuation; 1: a zero row; 2: every entry
+    # divisible by p, so no pivot is a unit; 3: entries 0 or small powers
+    # of p times small cofactors, so valuations tie and vary
+    q = p**e
+    A = [[rng.randrange(-2 * q, 2 * q) for _ in range(cols)] for _ in range(rows)]
+    if shape == 1:
+        A[rng.randrange(rows)] = [0] * cols
+    elif shape == 2:
+        A = [[p * x for x in row] for row in A]
+    elif shape == 3:
+        A = [[rng.choice((0, 1, p, p * p)) * rng.randint(-3, 3) for _ in range(cols)]
+             for _ in range(rows)]
+    return A
+
+
+class TestPackedLocalElimination:
+    def test_matches_list_route(self):
+        # every prime, shape and square-or-not combination, 25 times each
+        rng = random.Random(53)
+        for trial in range(800):
+            p = _PRIMES[trial % 4]
+            e = rng.randint(1, 8)
+            rows = rng.randint(1, 9)
+            cols = rows if trial // 16 % 2 else rng.randint(1, 9)
+            A = _local_case(rng, p, e, rows, cols, trial // 4 % 4)
+            assert exactla._local_divisors(A, p, e) == _list_local_divisors(A, p, e), A
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(st.sampled_from(_PRIMES), st.integers(1, 8), st.integers(1, 7),
+           st.integers(1, 7), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_matches_list_route_property(self, p, e, rows, cols, shape, rng):
+        A = _local_case(rng, p, e, rows, cols, shape)
+        assert exactla._local_divisors(A, p, e) == _list_local_divisors(A, p, e)
+
+    @pytest.mark.parametrize("p,e", [(2, 40), (1000003, 2)])
+    def test_fields_wider_than_64_bits(self, p, e, monkeypatch):
+        widths = []
+        row_codec = exactla._row_codec
+
+        def spy(cols, w):
+            widths.append(w)
+            return row_codec(cols, w)
+
+        monkeypatch.setattr(exactla, "_row_codec", spy)
+        rng = random.Random(59)
+        for shape in range(4):
+            A = _local_case(rng, p, e, 12, 10, shape)
+            assert exactla._local_divisors(A, p, e) == _list_local_divisors(A, p, e)
+        assert min(widths) > 64
+
+    @pytest.mark.parametrize("k,seed", [(28, 1), (32, 35)])
+    def test_large_circulants_match_integer_snf(self, k, seed):
+        # a(x) = b(x) (1 + x^(k/2)) + 6 c(x), so x^(k/2) + 1 and the primes
+        # 2 and 3 leave many non-unit pivots; mod 2^5 * 3^3 reaches
+        # exponents that 720720 = 2^4 3^2 5 7 11 13 does not
+        rng = random.Random(seed)
+        n = 720720
+        while True:
+            b = [rng.randrange(n) for _ in range(k)]
+            c = [rng.randrange(n) for _ in range(k)]
+            entries = [(b[i] + b[(i - k // 2) % k] + 6 * c[i]) % n for i in range(k)]
+            entries[-1] = (entries[-1] - sum(entries)) % n
+            if gcd(*entries, n) == 1:
+                break
+        C = circulant(validate(entries, n))
+        divs = smith_normal_form(C).divisors
+        for m in (720720, 2**5 * 3**3):
+            local = invariant_factors_mod(C, m)
+            assert local == tuple(gcd(d, m) for d in divs)
+            assert len(set(local)) > 3
