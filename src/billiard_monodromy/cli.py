@@ -26,6 +26,14 @@ EXIT_USAGE = 3
 # at k = 32 (n = 1000)
 ENUMERATE_CAP = 10_000
 
+# largest min(rows, cols) that `snf` reduces: the integer Smith normal form
+# and its transforms have no other work bound.  Seeded circulants mod 720720,
+# a random a(x) and b(x)(1 + x^(k/2)) + 6c(x), 20 draws of each per k (200
+# at k = 12), took at worst 0.04 s at k = 12, 0.29 s at k = 16, 3.6 s at
+# k = 20 and 2.9 s at k = 24, and single draws at k = 32 up to 92 s, on a
+# shared 2-vCPU host
+SNF_DIM_CAP = 16
+
 
 class _Usage(Exception):
     pass
@@ -120,6 +128,9 @@ def cmd_snf(args):
         A = exactla.circulant(validate(_parse_tuple(args.tuple), args.n, "algebraic"))
     else:
         raise _Usage("snf needs either --matrix or both --n and --tuple")
+    if min(len(A), len(A[0])) > SNF_DIM_CAP:
+        raise CapExceeded(f"Smith normal form of a {len(A)} x {len(A[0])} "
+                          f"matrix exceeds SNF_DIM_CAP={SNF_DIM_CAP}")
     res = exactla.smith_normal_form(A)
     doc = {"U": res.U, "D": res.D, "V": res.V, "divisors": list(res.divisors)}
     lines = []

@@ -117,13 +117,6 @@ def achievable_d_set(k: int, p: int) -> set:
     return {1 + s for s in sums}
 
 
-def _poly_product(polys, p):
-    out = FpPoly(p, (1,))
-    for g in polys:
-        out = polyfp.mul(out, g)
-    return out
-
-
 def _subset_with_degree(rest, target):
     # lexicographically first index subset (by size, then order) hitting
     # target; reach[i] holds the (size, degree sum) pairs rest[i:] can make,
@@ -158,7 +151,7 @@ def _generic_divisor(k: int, p: int, d: int):
         raise AssertionError("achievable d with no matching factor subset")
     forbidden = frozenset([-f.coeffs[0] % p for f in rest
                            if f.degree == 1 and f not in chosen])
-    return _poly_product([one] + chosen, p), forbidden
+    return reduce(polyfp.mul, chosen, one), forbidden
 
 
 def _witness_poly_generic(k: int, p: int, d: int) -> FpPoly:

@@ -116,6 +116,11 @@ def smith_normal_form(A: list) -> SnfResult:
     cleared column, so the passes repeat; a row addition repairs any entry
     of the block the pivot fails to divide.  U and V absorb the inverse
     steps, so U*D*V equals the input exactly at every step.
+
+    No dimension cap applies here.  The CLI refuses matrices above
+    ``cli.SNF_DIM_CAP``, since the transforms can take tens of seconds at
+    k = 32; callers that need only the divisors of a larger circulant (the
+    route tests at k = 28 and 32) still get them.
     """
     rows = len(A)
     cols = len(A[0])

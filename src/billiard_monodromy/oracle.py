@@ -29,7 +29,7 @@ import struct
 from typing import NamedTuple
 
 from .errors import CapExceeded
-from .numtheory import divisors, prime_factorization
+from .numtheory import prime_factorization
 from .polygon import PolygonTuple
 
 DEFAULT_SPAN_CAP = 100_000
@@ -242,10 +242,11 @@ def span_invariants(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> AbelianInva
     """Invariant factors of the span, recovered from annihilator counts.
 
     Every span element is enumerated and its order n / gcd(n, v_0, ...,
-    v_{k-1}) tallied.  For each divisor m of n the number of span elements
-    killed by m is prod_i gcd(m, delta_i); reading those counts at the prime
-    powers dividing n pins down the p-adic exponent multisets, which re-zip
-    into the invariant factor chain.  No matrix reduction is involved.
+    v_{k-1}) tallied.  For each prime power p^j dividing n, the elements
+    killed by p^j number p^s(j), and exactly s(j) - s(j-1) invariant
+    factors have p-adic exponent at least j; so, largest factor first, the
+    first s(j) - s(j-1) factors each take one more p.  No matrix reduction
+    is involved.
     """
     codes, w = _span_codes(t, cap)
     n = t.modulus
@@ -253,29 +254,19 @@ def span_invariants(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> AbelianInva
     # one code decoded at a time: a list of decoded vectors would hold
     # the whole span twice over
     tally = Counter(n // gcd(n, *decode(v)) for v in codes)
-    counts = {m: sum(c for o, c in tally.items() if m % o == 0)
-              for m in divisors(n)}
-    exponents = {}
-    for p, emax in prime_factorization(n).items():
-        prev = 0
-        per_rank = []
-        for e in range(1, emax + 1):
-            cur = counts[p**e]
-            ce = 0
-            while cur % p == 0 and cur > 1:
-                cur //= p
-                ce += 1
-            per_rank.append(ce - prev)
-            prev = ce
-        exponents[p] = per_rank
-    width = max((per[0] for per in exponents.values() if per), default=0)
     factors = []
-    for rank in range(width):
-        f = 1
-        for p, per_rank in exponents.items():
-            f *= p ** sum(1 for cnt in per_rank if cnt > rank)
-        if f > 1:
-            factors.append(f)
+    for p, e in prime_factorization(n).items():
+        prev = 0
+        for j in range(1, e + 1):
+            killed = sum(c for o, c in tally.items() if p**j % o == 0)
+            s = 0
+            while killed % p == 0 and killed > 1:
+                killed //= p
+                s += 1
+            factors += [1] * (s - prev - len(factors))
+            for i in range(s - prev):
+                factors[i] *= p
+            prev = s
     factors = tuple(factors)
     if prod(factors) != len(codes):
         raise AssertionError("annihilator counts inconsistent with span size")

@@ -96,21 +96,11 @@ def _trim(coeffs: tuple) -> tuple:
     return coeffs[:end]
 
 
-def _add(p, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(tuple(out))
-
-
-def _neg(p, a):
-    return tuple([-c % p for c in a])
-
-
 def _sub(p, a, b):
-    return _add(p, a, _neg(p, b))
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _trim(tuple(out))
 
 
 def _mul(p, a, b):
@@ -194,11 +184,6 @@ def gcd_poly(f: FpPoly, g: FpPoly) -> FpPoly:
         raise PreconditionFailed("mixed moduli")
     if f.is_zero and g.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    if f.is_zero:
-        f, g = g, f
-    if g.is_zero:
-        inv = pow(f.coeffs[-1], -1, f.p)
-        return FpPoly(f.p, tuple([c * inv % f.p for c in f.coeffs]))
     return FpPoly(f.p, _gcd_coeffs(f.p, f.coeffs, g.coeffs))
 
 
@@ -214,15 +199,14 @@ def w_function(f: FpPoly) -> int:
 
 
 def rotate(f: FpPoly, k: int) -> FpPoly:
-    """x*f minus its overflow multiple of x^k - 1; preserves gcd with x^k - 1."""
+    """x*f mod x^k - 1: the k coefficients of f rotated up one place, the
+    coefficient of x^(k-1) moving to x^0; preserves gcd with x^k - 1."""
     if f.degree > k - 1:
         raise DegreeTooLarge(f"deg f = {f.degree} exceeds k-1 = {k - 1}")
-    p = f.p
-    lead = f.coeffs[k - 1] if len(f.coeffs) >= k else 0
-    shifted = (0,) + f.coeffs
-    if lead:
-        shifted = _sub(p, shifted, _mul(p, (lead,), xk_minus_1(k, p).coeffs))
-    return FpPoly(p, _trim(shifted))
+    if k < 1:
+        raise PreconditionFailed(f"k must be positive, got {k}")
+    c = f.coeffs
+    return FpPoly(f.p, _trim(c[-1:] + c[:-1] if len(c) == k else (0,) + c))
 
 
 def roots(f: FpPoly) -> list:

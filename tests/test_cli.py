@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from math import gcd
 
 import pytest
 
 import billiard_monodromy
-from billiard_monodromy import cli, numtheory, polyfp
+from billiard_monodromy import circulant, cli, numtheory, polyfp, validate
 from billiard_monodromy.cli import main
+from billiard_monodromy.exactla import invariant_factors_mod
 
 
 def run(capsys, *argv):
@@ -80,6 +82,27 @@ class TestSnf:
     def test_missing_input_is_usage(self, capsys):
         code, _, _ = run(capsys, "snf")
         assert code == 3
+
+    @pytest.mark.parametrize("argv,shape", [
+        (["--n", "17", "--tuple", ",".join(["1"] * 17)], "17 x 17"),
+        (["--matrix", json.dumps([[1] * 17] * 18)], "18 x 17"),
+    ], ids=["circulant", "matrix"])
+    def test_dimension_cap_exit_code(self, capsys, argv, shape):
+        code, out, err = run(capsys, "snf", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"cap exceeded: Smith normal form of a {shape} matrix "
+                       f"exceeds SNF_DIM_CAP={cli.SNF_DIM_CAP}\n")
+
+    def test_dimension_cap_admits_the_cap(self, capsys):
+        n, entries = 720720, list(range(1, 16))
+        entries.append(-sum(entries) % n)
+        assert len(entries) == cli.SNF_DIM_CAP
+        code, out, _ = run(capsys, "snf", "--n", str(n),
+                           "--tuple", ",".join(map(str, entries)), "--json")
+        assert code == 0
+        C = circulant(validate(entries, n))
+        divisors = json.loads(out)["divisors"]
+        assert tuple(gcd(d, n) for d in divisors) == invariant_factors_mod(C, n)
 
     @pytest.mark.parametrize("matrix", [
         '[["a"]]', "[[null]]", "[[[1]]]", "[[1.5, 2]]", "[[true]]", "[[]]",

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd, prod
 
 import pytest
@@ -130,6 +131,30 @@ class TestSpanInvariants:
             if t.modulus ** t.k > 30000:
                 continue
             assert span_invariants(t).factors == deltas_of(t)
+
+    def test_matches_snf_route_at_deep_prime_powers(self):
+        # moduli whose spans hold 2^4 and 3^3 and above, where a prime
+        # spreads over several exponents across the factors; entries that
+        # are multiples of small divisors of n keep many spans inside 20000,
+        # and each factor chain is checked on at most three tuples
+        rng = random.Random(1616)
+        seen = Counter()
+        for n in (16, 27, 32, 64, 72, 81, 144, 243):
+            for k in (2, 3, 4):
+                for _ in range(300):
+                    entries = [rng.randrange(n) * rng.choice((1, 2, 3, 4, 8, 9)) % n
+                               for _ in range(k - 1)]
+                    entries.append(-sum(entries) % n)
+                    if gcd(*entries, n) != 1:
+                        continue
+                    t = validate(entries, n)
+                    deltas = deltas_of(t)
+                    if prod(deltas) > 20000 or seen[deltas] == 3:
+                        continue
+                    assert span_invariants(t).factors == deltas
+                    seen[deltas] += 1
+        for chain in ((64, 32, 8), (27, 9, 9), (144, 18, 2), (243, 81)):
+            assert chain in seen
 
 
 def _span_bfs(t, cap=oracle.DEFAULT_SPAN_CAP):

@@ -25,6 +25,7 @@ from billiard_monodromy.errors import (
     ModulusNotPrime,
     NotEnoughAlphas,
     PDividesK,
+    PreconditionFailed,
     ZeroPolynomial,
 )
 from billiard_monodromy.numtheory import is_prime
@@ -97,6 +98,16 @@ class TestRotate:
         with pytest.raises(DegreeTooLarge):
             rotate(xk_minus_1(3, 5), 3)
 
+    def test_nonpositive_k(self):
+        # the degree check comes first, so only the zero polynomial at k = 0
+        # reaches the check on k
+        with pytest.raises(PreconditionFailed, match="k must be positive, got 0"):
+            rotate(FpPoly.make(5, []), 0)
+        with pytest.raises(DegreeTooLarge):
+            rotate(FpPoly.make(5, [3]), 0)
+        with pytest.raises(DegreeTooLarge):
+            rotate(FpPoly.make(5, []), -1)
+
     def test_preserves_gcd(self):
         rng = random.Random(89)
         for _ in range(500):
@@ -104,6 +115,10 @@ class TestRotate:
             k = rng.randint(2, 9)
             coeffs = [rng.randrange(p) for _ in range(rng.randint(1, k))]
             f = FpPoly.make(p, coeffs)
+            # the rotation is the remainder of x*f by x^k - 1
+            xf = (0,) + f.coeffs
+            assert (rotate(f, k).coeffs
+                    == polyfp._divmod(p, xf, xk_minus_1(k, p).coeffs)[1])
             if f.is_zero:
                 continue
             g1 = gcd_poly(f, xk_minus_1(k, p))
