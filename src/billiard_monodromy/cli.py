@@ -22,8 +22,8 @@ EXIT_CAP = 2
 EXIT_USAGE = 3
 
 # tuples `enumerate` lists before it stops with exit 2; with --groups that
-# takes about 1.2 s at k = 5 (n = 200) and, as group_of slows with k, 15 s
-# at k = 32 (n = 1000)
+# takes about 0.8-1.2 s at k = 5 (n = 200) and, as group_of slows with k,
+# about 9.5 s at k = 32 (n = 1000), on a shared 2-vCPU host
 ENUMERATE_CAP = 10_000
 
 # largest min(rows, cols) that `snf` reduces: the integer Smith normal form
@@ -110,7 +110,8 @@ def cmd_group(args):
 def _parse_matrix(text):
     try:
         A = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an integer over the int-to-str digit limit
         raise _Usage(f"--matrix must be a JSON array of rows: {e}")
     if (not isinstance(A, list) or not A
             or any(not isinstance(r, list) or len(r) != len(A[0]) for r in A)):
@@ -132,6 +133,15 @@ def cmd_snf(args):
         raise CapExceeded(f"Smith normal form of a {len(A)} x {len(A[0])} "
                           f"matrix exceeds SNF_DIM_CAP={SNF_DIM_CAP}")
     res = exactla.smith_normal_form(A)
+    # the interpreter refuses to print an int of more digits than this
+    # (3.10.7 on; 0 or no such function means no limit)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10**digits
+    if digits and any(abs(x) >= bound
+                      for M in (res.U, res.D, res.V) for row in M for x in row):
+        raise CapExceeded(f"an entry of U, D or V has more than {digits} digits, "
+                          "the interpreter's int-to-str limit "
+                          "(sys.set_int_max_str_digits)")
     doc = {"U": res.U, "D": res.D, "V": res.V, "divisors": list(res.divisors)}
     lines = []
     for name, M in (("U", res.U), ("D", res.D), ("V", res.V)):

@@ -189,17 +189,22 @@ def smith_normal_form(A: list) -> SnfResult:
     return SnfResult(U, D, V, tuple([D[i][i] for i in range(limit)]))
 
 
+# the field widths ``_row_codec`` packs with ``struct``, and their codes
+_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}
+
+
 def _row_codec(cols: int, w: int) -> tuple:
     """(encode, decode) between cols field values and one int holding
-    value j in bits [w*j, w*j + w): ``struct`` at C speed when w = 64,
-    shifts and masks when the fields are wider.
+    value j in bits [w*j, w*j + w): ``struct`` at C speed when w is 16, 32
+    or 64, shifts and masks when the fields are wider.
 
     The oracle packs its span vectors the same way with its own code, so
     that the two routes to the group structure share nothing.
     """
-    if w == 64:
-        fmt = struct.Struct(f"<{cols}Q")
-        size = 8 * cols
+    code = _STRUCT_CODES.get(w)
+    if code:
+        fmt = struct.Struct(f"<{cols}{code}")
+        size = fmt.size
         return (lambda xs: int.from_bytes(fmt.pack(*xs), "little"),
                 lambda r: fmt.unpack(r.to_bytes(size, "little")))
     field = (1 << w) - 1
@@ -229,8 +234,8 @@ def _local_divisors(A: list, p: int, e: int) -> list:
     p^min(v, e) for the entry's valuation v, as if it were reduced.  Field
     width: a field starts below q, and each stage adds m * (q - y) < q^2 to
     it, at most min(rows, cols) times, so it stays below
-    q + min(rows, cols) * q^2; w is that bound's bit length, or 64 when the
-    bound fits in 64 bits.
+    q + min(rows, cols) * q^2; w is the least of 16, 32 and 64 bits that
+    holds that bound, or its bit length when it needs more than 64.
 
     The result equals gcd(d_i, p^e) for the integer SNF divisors d_i of A,
     without their coefficient growth.
@@ -238,7 +243,8 @@ def _local_divisors(A: list, p: int, e: int) -> list:
     q = p**e
     cols = len(A[0])
     limit = min(len(A), cols)
-    w = max(64, (q + limit * q * q).bit_length())
+    need = (q + limit * q * q).bit_length()
+    w = next((w for w in _STRUCT_CODES if need <= w), need)
     encode, decode = _row_codec(cols, w)
     field = (1 << w) - 1
     full = encode([q] * cols)

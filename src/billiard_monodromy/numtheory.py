@@ -1,11 +1,12 @@
 """Small exact number-theory helpers used across the library."""
 
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import CapExceeded
 
-# primes below this are found by trial division; any n below its square is
-# factored by trial division alone
+# primes below this are found by trial division, by a table of the primes
+# below it (a prime n near 10^6 takes 168 divisions, not 500); any n below
+# its square is factored by trial division alone
 TRIAL_DIVISION_LIMIT = 1000
 # rho steps allowed for splitting one composite cofactor, about 0.6 s; it
 # splits most cofactors whose least prime is below 10^11
@@ -15,6 +16,20 @@ _RHO_BATCH = 128
 # Miller-Rabin witnesses: the first 13 primes.  The first 12 alone pass the
 # composite 318665857834031151167461; all 13 are exact for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _primes_below(m: int) -> tuple:
+    # sieve of Eratosthenes
+    sieve = bytearray([1]) * m
+    sieve[:2] = bytes(2)
+    for i in range(2, isqrt(m - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, m, i)))
+    return tuple([i for i in range(m) if sieve[i]])
+
+
+# the trial divisors: the 168 primes below TRIAL_DIVISION_LIMIT
+_SMALL_PRIMES = _primes_below(TRIAL_DIVISION_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -48,18 +63,21 @@ def is_prime(n: int) -> bool:
 def prime_factorization(n: int) -> dict:
     """Map prime -> exponent for n >= 1, primes ascending.
 
-    Trial division by d < TRIAL_DIVISION_LIMIT; a cofactor with no prime
-    below the limit is split by Pollard's rho (see ``_rho_factor``).
+    Trial division by the primes d < TRIAL_DIVISION_LIMIT, up to the first
+    d with d*d above what is left; a cofactor with no prime below the limit
+    is split by Pollard's rho (see ``_rho_factor``).
     """
     if n < 1:
         raise ValueError("n must be positive")
     out = {}
-    d = 2
-    while d * d <= n and d < TRIAL_DIVISION_LIMIT:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
+    d = TRIAL_DIVISION_LIMIT
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            d = q
+            break
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
     # n is now 1, a prime, or a product of primes >= d
     for p in ([n] if d * d > n else sorted(_large_prime_factors(n))):
         if p > 1:

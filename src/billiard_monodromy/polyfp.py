@@ -9,6 +9,11 @@ zero-gap toolkit used by the witness constructions.
 x^k - 1 is factored in polynomial time: distinct-degree splitting, then
 gcds with seeded random combinations of the cyclotomic coset sums, which
 span Berlekamp's subalgebra (Berlekamp 1970, Cantor-Zassenhaus 1981).
+
+The Euclid of ``_gcd_coeffs`` runs on packed lanes: each polynomial is
+one int with a lane per coefficient, each quotient term one multiply-add,
+and each remainder is reduced mod p in every lane at once by Barrett's
+method (Barrett 1986).
 """
 
 import random
@@ -43,7 +48,6 @@ FACTOR_K_CAP = 128
 # factorizations of x^k - 1 kept, least recently used dropped first; well
 # above the 266 (k, p) pairs the classify benchmark revisits, so those hit
 FACTOR_CACHE_SIZE = 1024
-
 
 @dataclass(frozen=True)
 class FpPoly:
@@ -130,10 +134,57 @@ def _divmod(p, a, b):
 
 
 def _gcd_coeffs(p, a, b):
-    while b:
-        a, b = b, _divmod(p, a, b)[1]
-    inv = pow(a[-1], -1, p)
-    return tuple([c * inv % p for c in a])
+    """Monic gcd of two coefficient tuples, not both zero, by Euclid.
+
+    Each polynomial is held as one int, coefficient i in bits
+    [w*i, w*i + w), and a is reduced by b one quotient term at a time:
+    with c = lead(a) / lead(b) mod p and P holding p in every lane
+    of b, a += (c * (P - b)) << (w*i) clears the leading coefficient mod p
+    in one multiply-add, and no lane borrows because P - b has lanes in
+    (0, p].  A finished remainder has every lane reduced at once: Barrett's
+    estimate t = ((x * m) >> s) & MQ per lane, with m = floor(2^s / p),
+    leaves x - t*p in [0, 2p), and a guard bit marks the lanes that still
+    need one subtraction of p (as in ``oracle._span_codes``).
+
+    Lane bound, with L the longer input's length: a lane starts below p,
+    and each of at most L quotient terms adds c * (p - b_j) <= (p - 1) p,
+    so it stays below (L + 1) p^2 < 2^(s-1) for s = 2 bits(p) +
+    bits(L + 1) + 1.  For x < 2^s, x/p - 1 < x*m / 2^s <= x/p, which
+    gives the [0, 2p) range.  x*m < 2^(s-1+bits(m)) and w = s + bits(m) + 1,
+    so the lane products do not overlap; after the shift by s a lane's
+    quotient fills its low bits(m) bits, below the s low bits of the next
+    lane's product that land in its top, and MQ keeps its low w - s bits.
+    """
+    size = max(len(a), len(b))
+    s = 2 * p.bit_length() + (size + 1).bit_length() + 1
+    m = (1 << s) // p
+    w = s + m.bit_length() + 1
+    field = (1 << w) - 1
+    ones = ((1 << (w * size)) - 1) // field
+    full = p * ones
+    quot = ((1 << (w - s)) - 1) * ones
+    top = w - 1
+    guard = ones << top
+    offset = ((1 << top) - p) * ones
+    A = B = 0
+    for x in reversed(a):
+        A = A << w | x % p
+    for x in reversed(b):
+        B = B << w | x % p
+    while B:
+        db = (B.bit_length() - 1) // w
+        inv = pow(B >> (w * db), -1, p)
+        diff = (full & ((1 << (w * db + w)) - 1)) - B
+        for i in range((A.bit_length() - 1) // w - db, -1, -1):
+            c = (A >> (w * (i + db)) & field) * inv % p
+            if c:
+                A += c * diff << (w * i)
+        A -= ((A * m >> s) & quot) * p
+        A -= (((A + offset) & guard) >> top) * p
+        A, B = B, A
+    lanes = [A >> (w * i) & field for i in range((A.bit_length() - 1) // w + 1)]
+    inv = pow(lanes[-1], -1, p)
+    return tuple([c * inv % p for c in lanes])
 
 
 def _pow_mod(p, base, e, mod):

@@ -112,6 +112,34 @@ class TestSnf:
         assert code == 3
         assert out == "" and err.startswith("error: --matrix")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_input_over_the_digit_limit_is_usage(self, capsys):
+        digits = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "snf", "--matrix", f"[[{'7' * (digits + 1)}]]")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: --matrix must be a JSON array of rows: ")
+        assert f"({digits} digits)" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_transform_over_the_digit_limit_is_capped(self, capsys, json_flag):
+        # a 9 x 9 circulant whose V reaches 704 digits while D stays at 50
+        argv = ["snf", "--n", "720720", "--tuple", "249523,621429,570665,136758,"
+                "387926,633256,497081,656115,571567", *json_flag]
+        assert run(capsys, *argv)[0] == 0
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, out) == (2, "")
+        assert err == ("cap exceeded: an entry of U, D or V has more than 640 "
+                       "digits, the interpreter's int-to-str limit "
+                       "(sys.set_int_max_str_digits)\n")
+
 
 class TestVerify:
     def test_passing(self, capsys):

@@ -353,6 +353,25 @@ class TestPackedLocalElimination:
             assert exactla._local_divisors(A, p, e) == _list_local_divisors(A, p, e)
         assert min(widths) > 64
 
+    def test_fields_of_16_and_32_bits(self, monkeypatch):
+        # q + min(rows, cols) * q^2 below 2^16 (q = 8, 25, 81 at 9 columns)
+        # and below 2^32 (q = 125 and up)
+        widths = []
+        row_codec = exactla._row_codec
+
+        def spy(cols, w):
+            widths.append(w)
+            return row_codec(cols, w)
+
+        monkeypatch.setattr(exactla, "_row_codec", spy)
+        rng = random.Random(67)
+        for p, e in [(2, 3), (5, 2), (3, 4), (5, 3), (3, 8), (2, 12)]:
+            for shape in range(4):
+                A = _local_case(rng, p, e, 9, 9, shape)
+                assert exactla._local_divisors(A, p, e) == _list_local_divisors(A, p, e)
+        assert set(widths) == {16, 32}
+        assert widths.count(16) == 12 and widths.count(32) == 12
+
     @pytest.mark.parametrize("k,seed", [(28, 1), (32, 35)])
     def test_large_circulants_match_integer_snf(self, k, seed):
         # a(x) = b(x) (1 + x^(k/2)) + 6 c(x), so x^(k/2) + 1 and the primes

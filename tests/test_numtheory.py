@@ -46,6 +46,21 @@ def test_products_of_primes_below_a_million():
                      {p: drawn.count(p) for p in drawn})
 
 
+@pytest.mark.parametrize("n", [991 * 997, 997**2, 997 * 1009, 1009**2, 999983])
+def test_edge_of_the_prime_table(n):
+    # the last primes below TRIAL_DIVISION_LIMIT, the first above it, and
+    # the largest prime below its square
+    assert numtheory._SMALL_PRIMES[-1] == 997 < numtheory.TRIAL_DIVISION_LIMIT < 1009
+    _assert_same(prime_factorization(n), _trial_division(n))
+
+
+def test_prime_table():
+    primes = numtheory._SMALL_PRIMES
+    assert len(primes) == 168
+    assert list(primes) == [p for p in range(numtheory.TRIAL_DIVISION_LIMIT)
+                            if _trial_division(p) == {p: 1}]
+
+
 @pytest.mark.parametrize("n, expected", [
     (10**18 + 3, {10**18 + 3: 1}),
     (10**18 + 2, {2: 1, 3: 1, 17: 1, 131: 1, 1427: 1, 52445056723: 1}),

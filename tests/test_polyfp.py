@@ -3,6 +3,7 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from billiard_monodromy import (
     FpPoly,
@@ -66,6 +67,84 @@ class TestGcd:
     def test_quartic_example(self):
         f = FpPoly.make(5, [1, 4, 4, 1])
         assert gcd_poly(f, xk_minus_1(4, 5)).degree == 2
+
+
+def _schoolbook_gcd(p, a, b):
+    # slow route: Euclid by schoolbook remainders, one Python-level % per
+    # coefficient per quotient term, then made monic
+    while b:
+        a, b = b, polyfp._divmod(p, a, b)[1]
+    inv = pow(a[-1], -1, p)
+    return tuple([c * inv % p for c in a])
+
+
+# 2^61 - 1 gives lanes of 3 * 61 bits and more
+_EUCLID_PRIMES = (2, 3, 13, 1000003, 2**61 - 1)
+
+
+def _poly(rng, p, length, density=1.0):
+    return polyfp._trim(tuple([rng.randrange(p) if rng.random() < density else 0
+                               for _ in range(length)]))
+
+
+def _euclid_pairs(rng, p, size):
+    # pairs whose longer member has length size: x^(size-1) - 1 against a
+    # random a, a planted common factor, a short or sparse b (many quotient
+    # terms per remainder, degree drops > 1), b dividing a, and a = b
+    a = _poly(rng, p, size)
+    while len(a) < size:
+        a = _poly(rng, p, size)
+    short = _poly(rng, p, rng.randint(1, max(1, size // 4)))
+    sparse = _poly(rng, p, size - 1, density=0.2)
+    g = _poly(rng, p, rng.randint(1, size))
+    h = _poly(rng, p, size - len(g) + 1)
+    pairs = [(xk_minus_1(size - 1, p).coeffs, _poly(rng, p, size - 1)) if size > 1
+             else (a, ()),
+             (polyfp._mul(p, g, h), polyfp._mul(p, g, _poly(rng, p, len(h)))),
+             (a, short), (short, a), (a, sparse), (a, a)]
+    if short and len(g) + len(short) - 1 <= size:
+        pairs.append((polyfp._mul(p, g, short), g))
+    return [(x, y) for x, y in pairs if x or y]
+
+
+class TestPackedEuclid:
+    """``_gcd_coeffs`` on packed lanes against the schoolbook route."""
+
+    @pytest.mark.parametrize("p", _EUCLID_PRIMES)
+    def test_lengths_up_to_the_factor_cap(self, p):
+        rng = random.Random(p % 1009)
+        for size in range(1, polyfp.FACTOR_K_CAP + 2):
+            for a, b in _euclid_pairs(rng, p, size):
+                assert polyfp._gcd_coeffs(p, a, b) == _schoolbook_gcd(p, a, b), (p, a, b)
+
+    @pytest.mark.parametrize("p", _EUCLID_PRIMES)
+    def test_edge_cases(self, p):
+        one = (1,)
+        x = (0, 1)
+        f = (p - 1,) + (0,) * 19 + (2 % p or 1,)
+        for a, b, expected in [
+            ((), f, _schoolbook_gcd(p, f, ())),
+            (f, (), _schoolbook_gcd(p, f, ())),
+            (f, f, _schoolbook_gcd(p, f, ())),
+            ((), (5 % p or 1,), one),
+            (polyfp._mul(p, f, f), f, _schoolbook_gcd(p, f, ())),
+            (f, polyfp._mul(p, f, x), _schoolbook_gcd(p, f, ())),
+            # x^40 against x^20 + x: each remainder drops 19 degrees
+            ((0,) * 40 + one, (0, 1) + (0,) * 18 + one, x),
+        ]:
+            assert polyfp._gcd_coeffs(p, a, b) == expected
+            assert _schoolbook_gcd(p, a, b) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(st.sampled_from(_EUCLID_PRIMES), st.integers(0, 60), st.integers(0, 60),
+           st.integers(0, 12), st.randoms(use_true_random=False))
+    def test_matches_schoolbook_property(self, p, la, lb, lg, rng):
+        g = _poly(rng, p, lg)
+        a = polyfp._mul(p, g, _poly(rng, p, la, rng.random())) if g else _poly(rng, p, la)
+        b = polyfp._mul(p, g, _poly(rng, p, lb, rng.random())) if g else _poly(rng, p, lb)
+        if not a and not b:
+            return
+        assert polyfp._gcd_coeffs(p, a, b) == _schoolbook_gcd(p, a, b), (p, a, b)
 
 
 class TestWFunction:
