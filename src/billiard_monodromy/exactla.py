@@ -22,21 +22,6 @@ def identity(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A: list, B: list) -> list:
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(inner):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(cols):
-                    Oi[j] += a * Bt[j]
-    return out
-
-
 def det(M: list) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(M)

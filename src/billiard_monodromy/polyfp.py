@@ -6,9 +6,13 @@ polynomial f(x) = a_0 + a_1 x + ... + a_{k-1} x^{k-1} of a tuple, the gcd
 machinery against x^k - 1, the full factorization of x^k - 1, and the
 zero-gap toolkit used by the witness constructions.
 
-x^k - 1 is factored in polynomial time: distinct-degree splitting, then
-gcds with seeded random combinations of the cyclotomic coset sums, which
-span Berlekamp's subalgebra (Berlekamp 1970, Cantor-Zassenhaus 1981).
+x^k - 1 is factored in polynomial time.  With p not dividing m, the
+factors of x^m - 1 whose degree divides d multiply to x^gcd(m, p^d - 1) - 1,
+as F_{p^d}^* is cyclic of order p^d - 1 (Lidl-Niederreiter, Finite Fields,
+Thm 2.47), so exact divisions give the product of the degree-d factors.
+That is split by gcds with seeded random combinations of the cyclotomic
+coset sums, which span Berlekamp's subalgebra (Berlekamp 1970,
+Cantor-Zassenhaus 1981).
 
 The Euclid of ``_gcd_coeffs`` runs on packed lanes: each polynomial is
 one int with a lane per coefficient, each quotient term one multiply-add,
@@ -19,6 +23,7 @@ method (Barrett 1986).
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     BothZero,
@@ -39,10 +44,10 @@ from .polygon import PolygonTuple
 # k <= 60 and p < 200 no split needs more than 15
 SPLIT_ATTEMPT_CAP = 100
 
-# largest k whose x^k - 1 is factored: the schoolbook modular powers of the
-# split cost about k^2 log p each, and the slowest k <= 128 measured, 127
-# with p = 1000000000000006849 = -1 mod k (64 factors), takes 1.6 s on a
-# shared 2-vCPU host
+# largest k whose x^k - 1 is factored: the equal-degree split's schoolbook
+# modular powers cost about k^2 log p each, and over every k <= 128 with
+# p = 1000003, 10^18 + 9 and 1000000000000006849 the slowest, 101 and 127
+# with the last p, took 1.2 to 2.0 s on a shared 2-vCPU host
 FACTOR_K_CAP = 128
 
 # factorizations of x^k - 1 kept, least recently used dropped first; well
@@ -204,16 +209,6 @@ def mul(f: FpPoly, g: FpPoly) -> FpPoly:
     return FpPoly(f.p, _mul(f.p, f.coeffs, g.coeffs))
 
 
-def divide_exact(f: FpPoly, g: FpPoly) -> FpPoly:
-    """f / g when g divides f; raises otherwise."""
-    if f.p != g.p:
-        raise PreconditionFailed("mixed moduli")
-    q, r = _divmod(f.p, f.coeffs, g.coeffs)
-    if r:
-        raise PreconditionFailed(f"{g} does not divide {f}")
-    return FpPoly(f.p, q)
-
-
 def xk_minus_1(k: int, p: int) -> FpPoly:
     coeffs = [0] * (k + 1)
     coeffs[0] = p - 1
@@ -258,13 +253,6 @@ def rotate(f: FpPoly, k: int) -> FpPoly:
         raise PreconditionFailed(f"k must be positive, got {k}")
     c = f.coeffs
     return FpPoly(f.p, _trim(c[-1:] + c[:-1] if len(c) == k else (0,) + c))
-
-
-def roots(f: FpPoly) -> list:
-    """All roots of f in F_p, ascending."""
-    if f.is_zero:
-        raise ZeroPolynomial("every element is a root of 0")
-    return [x for x in range(f.p) if f(x) == 0]
 
 
 def _roots_of_unity(p, r):
@@ -334,23 +322,17 @@ def _equal_degree_split(p, g, d, m):
 
 
 def _factor_squarefree_xm1(m, p):
-    # x^m - 1 with p not dividing m: distinct-degree splitting, then
-    # equal-degree splitting of each piece by the coset sums
-    f = xk_minus_1(m, p).coeffs
+    # x^m - 1 with p not dividing m: each degree-d piece by the gcd identity
+    # of the module docstring, then split by the coset sums
+    pieces = {}
     found = []
-    h = _divmod(p, (0, 1), f)[1]
-    d = 0
-    while len(f) - 1 > 0:
-        d += 1
-        if 2 * d > len(f) - 1:
-            found.append(f)
-            break
-        h = _pow_mod(p, h, p, f)
-        g = _gcd_coeffs(p, _sub(p, h, (0, 1)), f)
-        if len(g) > 1:
-            found.extend(_equal_degree_split(p, g, d, m))
-            f = _divmod(p, f, g)[0]
-            h = _divmod(p, h, f)[1]
+    for d in sorted({len(orbit) for orbit in _cosets(m, p)}):
+        g = xk_minus_1(gcd(m, pow(p, d, m) - 1), p).coeffs
+        for e, h in pieces.items():
+            if d % e == 0:
+                g = _divmod(p, g, h)[0]
+        pieces[d] = g
+        found.extend(_equal_degree_split(p, g, d, m))
     return found
 
 
@@ -363,8 +345,9 @@ def _factor_xk_minus_1_cached(k, p):
         e += 1
     base = _factor_squarefree_xm1(m, p)
     mult = p**e
-    return tuple((FpPoly(p, c), mult)
-                 for c in sorted(base, key=lambda c: (len(c), c)))
+    # from a list, not a generator: see PolygonTuple.residues
+    return tuple([(FpPoly(p, c), mult)
+                  for c in sorted(base, key=lambda c: (len(c), c))])
 
 
 def factor_xk_minus_1(k: int, p: int) -> list:

@@ -1,9 +1,12 @@
-"""Shared draw helpers for the randomized suites; everything is seeded by
-the caller so runs are reproducible."""
+"""Shared helpers for the suites: seeded draws for the randomized tests
+(everything is seeded by the caller so runs are reproducible) and the slow
+reference routes that only the tests need."""
 
 from math import gcd
 
-from billiard_monodromy import validate
+from billiard_monodromy import FpPoly, validate
+from billiard_monodromy.errors import PreconditionFailed, ZeroPolynomial
+from billiard_monodromy.polyfp import _divmod
 
 
 def random_algebraic(rng, k_lo=2, k_hi=6, n_lo=2, n_hi=30):
@@ -44,3 +47,36 @@ def random_geometric(rng, k_lo=3, k_hi=6, n_lo=3, n_hi=20):
         if gcd(*entries, n) != 1:
             continue
         return validate(entries, n, "geometric")
+
+
+def mat_mul(A, B):
+    """The integer matrix product A B, by the schoolbook sum."""
+    rows, inner, cols = len(A), len(B), len(B[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        Ai = A[i]
+        Oi = out[i]
+        for t in range(inner):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                for j in range(cols):
+                    Oi[j] += a * Bt[j]
+    return out
+
+
+def divide_exact(f, g):
+    """f / g for FpPoly f, g when g divides f; raises otherwise."""
+    if f.p != g.p:
+        raise PreconditionFailed("mixed moduli")
+    q, r = _divmod(f.p, f.coeffs, g.coeffs)
+    if r:
+        raise PreconditionFailed(f"{g} does not divide {f}")
+    return FpPoly(f.p, q)
+
+
+def roots(f):
+    """All roots of the FpPoly f in F_p, ascending, by scanning F_p."""
+    if f.is_zero:
+        raise ZeroPolynomial("every element is a root of 0")
+    return [x for x in range(f.p) if f(x) == 0]

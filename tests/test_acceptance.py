@@ -44,10 +44,10 @@ from billiard_monodromy import (
     w_function,
     xk_minus_1,
 )
-from billiard_monodromy.exactla import det, mat_mul
+from billiard_monodromy.exactla import det
 from billiard_monodromy.monodromy import deltas_of
 from billiard_monodromy.polyfp import FpPoly, mul as poly_mul
-from conftest import random_algebraic
+from conftest import mat_mul, random_algebraic
 
 PRIMES_TO_23 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 

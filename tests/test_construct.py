@@ -41,8 +41,8 @@ from billiard_monodromy.errors import (
 )
 from billiard_monodromy.monodromy import GroupDescriptor, deltas_of
 from billiard_monodromy.numtheory import divisors, is_prime, prime_factorization
-from billiard_monodromy.polyfp import divide_exact, factor_xk_minus_1, roots, xk_minus_1
-from conftest import random_algebraic
+from billiard_monodromy.polyfp import factor_xk_minus_1, xk_minus_1
+from conftest import divide_exact, random_algebraic, roots
 
 TWELVE_GON_MOD_35 = (22, 23, 18, 22, 2, 18, 8, 2, 32, 8, 23, 32)
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from billiard_monodromy import circulant, exactla, minor_gcd, rank_mod_p, smith_normal_form, validate
 from billiard_monodromy.errors import JOutOfRange, PNotPrime
-from billiard_monodromy.exactla import det, identity, invariant_factors_mod, mat_mul
+from billiard_monodromy.exactla import det, identity, invariant_factors_mod
+from conftest import mat_mul
 
 
 def random_matrix(rng, max_dim=6, max_entry=50):

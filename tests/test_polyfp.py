@@ -31,6 +31,7 @@ from billiard_monodromy.errors import (
 )
 from billiard_monodromy.numtheory import is_prime
 from billiard_monodromy.polygon import enumerate_algebraic
+from conftest import roots
 
 
 class TestFromTuple:
@@ -234,7 +235,7 @@ class TestFactorXkMinus1:
         for k, p in ((7, 13), (12, 7), (9, 2), (8, 3), (17, 41)):
             for f, _ in factor_xk_minus_1(k, p):
                 if f.degree >= 2:
-                    assert not polyfp.roots(f)
+                    assert not roots(f)
                     # f divides x^(p^d) - x exactly at d = deg f
                     for d in range(1, f.degree + 1):
                         h = polyfp._pow_mod(p, (0, 1), p**d, f.coeffs)
@@ -312,6 +313,42 @@ def test_factors_match_trial_division(monkeypatch):
     for (k, p), factors in zip(pairs, fast):
         assert list(polyfp._factor_xk_minus_1_cached.__wrapped__(k, p)) == factors, (k, p)
     assert len(pairs) == 384
+
+
+def _distinct_degree_pieces(m, p):
+    # slow route, p not dividing m: x^(p^d) mod f by Frobenius powers, then
+    # the gcd of x^(p^d) - x with f is the product of f's degree-d factors;
+    # once 2d exceeds deg f what is left is irreducible, its own piece
+    f = xk_minus_1(m, p).coeffs
+    pieces = []
+    h = polyfp._divmod(p, (0, 1), f)[1]
+    d = 0
+    while len(f) - 1 > 0:
+        d += 1
+        if 2 * d > len(f) - 1:
+            pieces.append((len(f) - 1, f))
+            break
+        h = polyfp._pow_mod(p, h, p, f)
+        g = polyfp._gcd_coeffs(p, polyfp._sub(p, h, (0, 1)), f)
+        if len(g) > 1:
+            pieces.append((d, g))
+            f = polyfp._divmod(p, f, g)[0]
+            h = polyfp._divmod(p, h, f)[1]
+    return pieces
+
+
+def test_degree_pieces_match_distinct_degree_loop(monkeypatch):
+    # the pieces read off x^gcd(m, p^d - 1) - 1 are the distinct-degree
+    # loop's, in the same order, so the seeded splits see the same inputs
+    pairs = [(k, p) for k in range(1, 41) for p in range(2, 200)
+             if is_prime(p) and k % p]
+    assert len(pairs) == 1780
+    pairs += [(k, p) for k in (60, 61, 96, 120, 126, 127, 128)
+              for p in (1000003, 10**18 + 9, 1000000000000006849)]
+    slow = [_distinct_degree_pieces(k, p) for k, p in pairs]
+    monkeypatch.setattr(polyfp, "_equal_degree_split", lambda p, g, d, m: [(d, g)])
+    for (k, p), pieces in zip(pairs, slow):
+        assert polyfp._factor_squarefree_xm1(k, p) == pieces, (k, p)
 
 
 def test_factorization_properties():
