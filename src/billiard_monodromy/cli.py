@@ -2,13 +2,10 @@
 
 Every subcommand maps to exactly one library operation and supports --json.
 Exit codes: 0 success, 1 domain rejection, 2 cap exceeded, 3 usage error.
-The environment variable BILLIARD_MONODROMY_MAX_CAP overrides the default
-span/group caps; explicit flags beat the environment.
 """
 
 import argparse
 import json
-import os
 import sys
 from functools import cache
 
@@ -61,32 +58,16 @@ def _positive(text):
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
-def _cap(flag, default):
-    # an explicit flag beats the environment, which beats the default
-    if flag is not None:
-        return flag
-    raw = os.environ.get("BILLIARD_MONODROMY_MAX_CAP")
-    try:
-        return default if raw is None else _positive(raw)
-    except argparse.ArgumentTypeError as e:
-        raise _Usage(f"BILLIARD_MONODROMY_MAX_CAP {e}")
-
-
-def _caps(args):
-    return (_cap(args.max_span, oracle.DEFAULT_SPAN_CAP),
-            _cap(args.max_group, oracle.DEFAULT_GROUP_CAP))
-
-
 def _add_tuple_args(sp):
     sp.add_argument("--n", type=int, required=True, help="modulus")
     sp.add_argument("--tuple", required=True, help="comma-separated entries")
 
 
 def _add_cap_args(sp):
-    sp.add_argument("--max-span", type=_positive,
-                    help=f"span enumeration cap (default {oracle.DEFAULT_SPAN_CAP})")
-    sp.add_argument("--max-group", type=_positive,
-                    help=f"group closure cap (default {oracle.DEFAULT_GROUP_CAP})")
+    sp.add_argument("--max-span", type=_positive, default=oracle.DEFAULT_SPAN_CAP,
+                    help="span enumeration cap (default %(default)s)")
+    sp.add_argument("--max-group", type=_positive, default=oracle.DEFAULT_GROUP_CAP,
+                    help="group closure cap (default %(default)s)")
 
 
 def cmd_group(args):
@@ -96,10 +77,9 @@ def cmd_group(args):
     lines = [f"{desc.pretty()}, order {desc.order}"]
     if not args.verify:
         return doc, lines, EXIT_OK
-    span_cap, group_cap = _caps(args)
     pp = oracle.build_permutations(t)
-    size = oracle.group_order(pp, cap=group_cap)
-    inv = oracle.span_invariants(t, cap=span_cap)
+    size = oracle.group_order(pp, cap=args.max_group)
+    inv = oracle.span_invariants(t, cap=args.max_span)
     ok = size == desc.order and inv.factors == desc.deltas
     doc["oracle"] = {"group_order": size,
                      "span_factors": list(inv.factors), "ok": ok}
@@ -125,7 +105,7 @@ def _parse_matrix(text):
 def cmd_snf(args):
     if args.matrix:
         A = _parse_matrix(args.matrix)
-    elif args.n and args.tuple:
+    elif args.n is not None and args.tuple is not None:
         A = exactla.circulant(validate(_parse_tuple(args.tuple), args.n, "algebraic"))
     else:
         raise _Usage("snf needs either --matrix or both --n and --tuple")
@@ -153,8 +133,8 @@ def cmd_snf(args):
 
 def cmd_verify(args):
     t = validate(_parse_tuple(args.tuple), args.n, "algebraic")
-    span_cap, group_cap = _caps(args)
-    report = oracle.check_structure(t, span_cap=span_cap, group_cap=group_cap)
+    report = oracle.check_structure(t, span_cap=args.max_span,
+                                    group_cap=args.max_group)
     doc = {
         "n": report.n, "k": report.k,
         "group_order": report.group_order,
@@ -247,9 +227,8 @@ def cmd_lift(args):
 
 
 def cmd_composite(args):
-    cap = _cap(args.max_cases, construct.DEFAULT_PRIME_POWER_CAP)
     result = construct.composite_feasible(
-        args.k, args.n, _parse_tuple(args.deltas), per_prime_cap=cap)
+        args.k, args.n, _parse_tuple(args.deltas), per_prime_cap=args.max_cases)
     if result.feasible:
         line = f"feasible: witness {result.witness}"
     else:
@@ -276,8 +255,8 @@ def build_parser():
 
     sp = sub.add_parser("snf", help="Smith normal form with transforms")
     sp.add_argument("--matrix", help="JSON array of rows")
-    sp.add_argument("--n", type=int, default=0, help="modulus (circulant mode)")
-    sp.add_argument("--tuple", default="", help="entries (circulant mode)")
+    sp.add_argument("--n", type=int, help="modulus (circulant mode)")
+    sp.add_argument("--tuple", help="entries (circulant mode)")
     sp.set_defaults(func=cmd_snf)
 
     sp = sub.add_parser("verify", help="run every structural check on a tuple")
@@ -341,8 +320,8 @@ def build_parser():
     sp.add_argument("--deltas", required=True,
                     help="target invariant factors, comma-separated")
     sp.add_argument("--max-cases", type=_positive,
-                    help="per-prime-power enumeration cap "
-                         f"(default {construct.DEFAULT_PRIME_POWER_CAP})")
+                    default=construct.DEFAULT_PRIME_POWER_CAP,
+                    help="per-prime-power enumeration cap (default %(default)s)")
     sp.set_defaults(func=cmd_composite)
 
     for sp in sub.choices.values():

@@ -457,6 +457,8 @@ def composite_feasible(k: int, n: int, deltas,
     for a, b in zip(deltas, deltas[1:]):
         if a % b != 0:
             raise PreconditionFailed(f"targets {deltas} are not a divisibility chain")
+    if n < 2:
+        raise PreconditionFailed(f"need n >= 2, got {n}")
 
     closed_form = {3: _triangle_deltas, 4: _quadrilateral_deltas}.get(k)
     patterns_by_q = {}

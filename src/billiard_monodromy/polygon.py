@@ -189,23 +189,30 @@ def find_convex_associate(t: PolygonTuple, p: int) -> Optional[PolygonTuple]:
 
 def enumerate_geometric(k: int, n: int) -> Iterator[PolygonTuple]:
     """All geometric k-tuples modulo n, lexicographic."""
-    target = (k - 2) * n
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            a = remaining
-            if 1 <= a < 2 * n and a != n and gcd(*prefix, a, n) == 1:
-                yield PolygonTuple(tuple(prefix) + (a,), n, geometric=True)
-            return
-        lo = max(1, remaining - (slots - 1) * (2 * n - 1))
-        hi = min(2 * n - 1, remaining - (slots - 1))
-        for a in range(lo, hi + 1):
-            if a == n:
-                continue
-            yield from rec(prefix + [a], remaining - a, slots - 1)
-
-    if k >= 3:
-        yield from rec([], target, k)
+    if k < 3:
+        return
+    top = 2 * n - 1
+    # an odometer over entries[:k - 1]: slot i counts up through the values
+    # that leave slots i+1..k-1 a reachable sum, rest[i] is the sum slots
+    # i..k-1 must make, and the last slot takes what is left
+    entries = [0] * k
+    rest = [(k - 2) * n] * k
+    i = 0
+    entries[0] = max(1, rest[0] - (k - 1) * top) - 1
+    while i >= 0:
+        entries[i] += 1
+        if entries[i] == n:
+            entries[i] += 1
+        if entries[i] >min(top, rest[i] - (k - 1 - i)):
+            i -= 1
+        elif i < k - 2:
+            rest[i + 1] = rest[i] - entries[i]
+            i += 1
+            entries[i] = max(1, rest[i] - (k - 1 - i) * top) - 1
+        else:
+            entries[-1] = rest[i] - entries[i]
+            if entries[-1] != n and gcd(*entries, n) == 1:
+                yield PolygonTuple(tuple(entries), n, geometric=True)
 
 
 def enumerate_algebraic(k: int, n: int) -> Iterator[PolygonTuple]:
@@ -216,6 +223,8 @@ def enumerate_algebraic(k: int, n: int) -> Iterator[PolygonTuple]:
     """
     from itertools import product
 
+    if k < 2:
+        return
     for head in product(range(n), repeat=k - 1):
         last = -sum(head) % n
         entries = head + (last,)

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 
 import billiard_monodromy
-from billiard_monodromy import circulant, cli, numtheory, polyfp, validate
+from billiard_monodromy import (
+    circulant, cli, construct, numtheory, oracle, polyfp, validate)
 from billiard_monodromy.cli import main
 from billiard_monodromy.exactla import invariant_factors_mod
 
@@ -82,6 +83,13 @@ class TestSnf:
     def test_missing_input_is_usage(self, capsys):
         code, _, _ = run(capsys, "snf")
         assert code == 3
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_modulus_is_domain_error(self, capsys, n):
+        code, out, err = run(capsys, "snf", "--n", n, "--tuple", "1,2")
+        assert (code, out) == (1, "")
+        assert err == ("rejected: PreconditionFailed: modulus must be positive, "
+                       f"got {n}\n")
 
     @pytest.mark.parametrize("argv,shape", [
         (["--n", "17", "--tuple", ",".join(["1"] * 17)], "17 x 17"),
@@ -348,19 +356,23 @@ def test_triangle_root_cap_exit_code(capsys):
     (["group", "--n", "5", "--tuple", "2,2,2,4", "--verify"], "--max-span"),
     (["verify", "--n", "5", "--tuple", "2,2,2,4"], "--max-group"),
     (["composite", "--k", "3", "--n", "10", "--deltas", "10,10"], "--max-cases"),
-    (["group", "--n", "5", "--tuple", "2,2,2,4", "--verify"], None),
-], ids=["max-span", "max-group", "max-cases", "env"])
-def test_cap_must_be_positive(capsys, monkeypatch, argv, flag, value):
-    if flag is None:
-        monkeypatch.setenv("BILLIARD_MONODROMY_MAX_CAP", value)
-        name = "BILLIARD_MONODROMY_MAX_CAP"
-    else:
-        argv = [*argv, flag, value]
-        name = f"argument {flag}:"
-    code, out, err = run(capsys, *argv)
+], ids=["max-span", "max-group", "max-cases"])
+def test_cap_must_be_positive(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, flag, value)
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == (
-        f"error: {name} must be a positive integer, got '{value}'")
+        f"error: argument {flag}: must be a positive integer, got '{value}'")
+
+
+@pytest.mark.parametrize("argv,caps", [
+    (["group", "--n", "5", "--tuple", "2,2,2,4"],
+     {"max_span": oracle.DEFAULT_SPAN_CAP, "max_group": oracle.DEFAULT_GROUP_CAP}),
+    (["composite", "--k", "3", "--n", "10", "--deltas", "10,10"],
+     {"max_cases": construct.DEFAULT_PRIME_POWER_CAP}),
+], ids=["group", "composite"])
+def test_caps_default_to_the_library_constants(argv, caps):
+    args = cli.build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in caps} == caps
 
 
 class TestEnumerate:
@@ -377,6 +389,19 @@ class TestEnumerate:
         assert code == 0 and out.endswith("9 tuples\n")
         monkeypatch.setattr(cli, "ENUMERATE_CAP", 8)
         assert run(capsys, "enumerate", "--k", "3", "--n", "6")[0] == 2
+
+    def test_cap_far_past_the_recursion_limit(self, capsys, monkeypatch):
+        # each tuple's entries come from a loop, not one generator per entry
+        monkeypatch.setattr(cli, "ENUMERATE_CAP", 10)
+        code, out, err = run(capsys, "enumerate", "--k", "1500", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == ("cap exceeded: enumerating geometric 1500-tuples mod 3 "
+                       "exceeded ENUMERATE_CAP=10 tuples\n")
+
+    @pytest.mark.parametrize("k", ["-1", "0", "1"])
+    def test_algebraic_with_fewer_than_two_entries_is_empty(self, capsys, k):
+        assert run(capsys, "enumerate", "--k", k, "--n", "3",
+                   "--level", "algebraic") == (0, "0 tuples\n", "")
 
     def test_single_triangle_mod3(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--k", "3", "--n", "3")
@@ -444,6 +469,13 @@ class TestCalculus:
         assert code == 0
         assert out.startswith("infeasible (mod 5)")
 
+    @pytest.mark.parametrize("n,deltas", [("0", "5"), ("-6", "6")])
+    def test_composite_modulus_below_two_is_domain_error(self, capsys, n, deltas):
+        code, out, err = run(capsys, "composite", "--k", "3", "--n", n,
+                             "--deltas", deltas)
+        assert (code, out) == (1, "")
+        assert err == f"rejected: PreconditionFailed: need n >= 2, got {n}\n"
+
     def test_composite_json(self, capsys):
         code, out, _ = run(capsys, "composite", "--k", "3", "--n", "6",
                            "--deltas", "6,2", "--json")
@@ -476,27 +508,11 @@ def test_every_subcommand_json_roundtrips(capsys):
         assert roundtrip(line) == line, argv
 
 
-class TestEnvironmentCap:
-    def test_env_cap_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("BILLIARD_MONODROMY_MAX_CAP", "10")
-        code, _, err = run(capsys, "group", "--n", "5", "--tuple", "2,2,2,4",
-                           "--verify")
-        assert code == 2
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BILLIARD_MONODROMY_MAX_CAP", "10")
-        code, out, _ = run(capsys, "group", "--n", "5", "--tuple", "2,2,2,4",
-                           "--verify", "--max-group", "1000", "--max-span", "1000")
-        assert code == 0
-        assert "oracle: OK" in out
-
-
 def test_one_parser_serves_successive_calls(capsys, monkeypatch):
     # build_parser is cached, so argument defaults must not leak between
     # calls: each in-process result equals a fresh interpreter's.  COLUMNS
     # fixes the width argparse wraps the usage line to.
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("BILLIARD_MONODROMY_MAX_CAP", raising=False)
     src = os.path.dirname(os.path.dirname(billiard_monodromy.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     calls = [

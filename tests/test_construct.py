@@ -454,6 +454,15 @@ class TestCompositeFeasible:
         with pytest.raises(PreconditionFailed):
             composite_feasible(3, 10, (2, 10))
 
+    @pytest.mark.parametrize("n,deltas", [(0, (5,)), (-6, (6,))])
+    def test_modulus_below_two(self, n, deltas):
+        # each target divides n, so only the modulus check refuses these
+        with pytest.raises(PreconditionFailed, match=f"^need n >= 2, got {n}$"):
+            composite_feasible(3, n, deltas)
+        # the target checks come first and keep their messages
+        with pytest.raises(PreconditionFailed, match="not a divisibility chain"):
+            composite_feasible(3, n, (3, 6))
+
 
 def _first_per_pattern(candidates):
     # {local group: {zero pattern: first tuple}}, the map composite_feasible

@@ -21,7 +21,7 @@ from billiard_monodromy.errors import (
     PreconditionFailed,
     SumMismatch,
 )
-from billiard_monodromy.polygon import _scaling_unit
+from billiard_monodromy.polygon import PolygonTuple, _scaling_unit
 from conftest import random_geometric
 
 
@@ -220,3 +220,38 @@ def test_enumerations_agree_with_validate():
     assert sorted(t.entries for t in algs) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     # mod 3 the single geometric triangle
     assert [t.entries for t in enumerate_geometric(3, 3)] == [(1, 1, 1)]
+
+
+def _enumerate_geometric_recursive(k, n):
+    # the recursive enumeration the odometer loop replaced, kept as the
+    # reference; it nests one generator per entry, so k stays small
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            a = remaining
+            if 1 <= a < 2 * n and a != n and gcd(*prefix, a, n) == 1:
+                yield PolygonTuple(tuple(prefix) + (a,), n, geometric=True)
+            return
+        lo = max(1, remaining - (slots - 1) * (2 * n - 1))
+        hi = min(2 * n - 1, remaining - (slots - 1))
+        for a in range(lo, hi + 1):
+            if a == n:
+                continue
+            yield from rec(prefix + [a], remaining - a, slots - 1)
+
+    if k >= 3:
+        yield from rec([], (k - 2) * n, k)
+
+
+def test_geometric_enumeration_matches_the_recursive_reference():
+    # every census cell lies on this grid: same tuples, same order
+    grid = [(k, n) for k in range(-1, 6) for n in range(-2, 13)]
+    grid += [(6, n) for n in range(-2, 8)]
+    for k, n in grid:
+        assert (list(enumerate_geometric(k, n))
+                == list(_enumerate_geometric_recursive(k, n))), (k, n)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_algebraic_enumeration_needs_two_entries(k):
+    for n in (0, 3, 5):
+        assert list(enumerate_algebraic(k, n)) == []
