@@ -23,14 +23,6 @@ EXIT_USAGE = 3
 # about 9.5 s at k = 32 (n = 1000), on a shared 2-vCPU host
 ENUMERATE_CAP = 10_000
 
-# largest min(rows, cols) that `snf` reduces: the integer Smith normal form
-# and its transforms have no other work bound.  Seeded circulants mod 720720,
-# a random a(x) and b(x)(1 + x^(k/2)) + 6c(x), 20 draws of each per k (200
-# at k = 12), took at worst 0.04 s at k = 12, 0.29 s at k = 16, 3.6 s at
-# k = 20 and 2.9 s at k = 24, and single draws at k = 32 up to 92 s, on a
-# shared 2-vCPU host
-SNF_DIM_CAP = 16
-
 
 class _Usage(Exception):
     pass
@@ -77,6 +69,7 @@ def cmd_group(args):
     lines = [f"{desc.pretty()}, order {desc.order}"]
     if not args.verify:
         return doc, lines, EXIT_OK
+    oracle.check_group_cap(t, args.max_group)
     pp = oracle.build_permutations(t)
     size = oracle.group_order(pp, cap=args.max_group)
     inv = oracle.span_invariants(t, cap=args.max_span)
@@ -103,30 +96,25 @@ def _parse_matrix(text):
 
 
 def cmd_snf(args):
-    if args.matrix:
+    if args.matrix is not None:
         A = _parse_matrix(args.matrix)
     elif args.n is not None and args.tuple is not None:
         A = exactla.circulant(validate(_parse_tuple(args.tuple), args.n, "algebraic"))
     else:
         raise _Usage("snf needs either --matrix or both --n and --tuple")
-    if min(len(A), len(A[0])) > SNF_DIM_CAP:
-        raise CapExceeded(f"Smith normal form of a {len(A)} x {len(A[0])} "
-                          f"matrix exceeds SNF_DIM_CAP={SNF_DIM_CAP}")
     res = exactla.smith_normal_form(A)
-    # the interpreter refuses to print an int of more digits than this
-    # (3.10.7 on; 0 or no such function means no limit)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = 10**digits
-    if digits and any(abs(x) >= bound
-                      for M in (res.U, res.D, res.V) for row in M for x in row):
-        raise CapExceeded(f"an entry of U, D or V has more than {digits} digits, "
-                          "the interpreter's int-to-str limit "
-                          "(sys.set_int_max_str_digits)")
     doc = {"U": res.U, "D": res.D, "V": res.V, "divisors": list(res.divisors)}
     lines = []
-    for name, M in (("U", res.U), ("D", res.D), ("V", res.V)):
-        lines.append(f"{name}:")
-        lines.extend("  " + " ".join(map(str, row)) for row in M)
+    try:
+        for name, M in (("U", res.U), ("D", res.D), ("V", res.V)):
+            lines.append(f"{name}:")
+            lines.extend("  " + " ".join(map(str, row)) for row in M)
+    except ValueError:
+        # str() refuses an int over the interpreter's digit limit (3.10.7 on)
+        raise CapExceeded("an entry of U, D or V has more than "
+                          f"{sys.get_int_max_str_digits()} digits, the "
+                          "interpreter's int-to-str limit "
+                          "(sys.set_int_max_str_digits)") from None
     lines.append("divisors: " + ", ".join(map(str, res.divisors)))
     return doc, lines, EXIT_OK
 

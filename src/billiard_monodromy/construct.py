@@ -31,7 +31,7 @@ from .monodromy import (
     _triangle_deltas,
     deltas_of,
 )
-from .numtheory import crt_pair, is_prime, prime_factorization, smallest_primitive_root
+from .numtheory import crt_pair, is_prime, prime_factorization
 from .polygon import (
     PolygonTuple,
     # unused here, but perfbench/tracing.py patches construct.enumerate_algebraic
@@ -80,6 +80,8 @@ def lift(t: PolygonTuple, ell: int) -> PolygonTuple:
     """Repeat the entry pattern ell/k times: same N, rotation order ell."""
     if ell % t.k != 0:
         raise NotMultiple(f"{ell} is not a multiple of k={t.k}")
+    if ell < 1:
+        raise PreconditionFailed(f"ell must be positive, got {ell}")
     return validate(t.residues() * (ell // t.k), t.modulus, "algebraic")
 
 
@@ -176,8 +178,8 @@ def _witness_poly_divisor_case(k: int, p: int, d: int) -> FpPoly:
 def _witness_poly_small_d(k: int, p: int, d: int) -> FpPoly:
     # p = k+1, d < k/2: grow (x-1)^(k/2-d) by d-1 distinct linear factors
     # keeping every coefficient nonzero, then multiply by the rootless
-    # binomial x^{k/2} - a with a a generator of the unit group
-    a = smallest_primitive_root(p)
+    # binomial x^{k/2} - a with a the smallest generator of the unit group
+    a = polyfp.element_of_order(p, p - 1)
     g = FpPoly(p, (1,))
     minus_one = FpPoly(p, (p - 1, 1))
     for _ in range(k // 2 - d):
@@ -445,10 +447,14 @@ def composite_feasible(k: int, n: int, deltas,
     quadrilateral closed forms for k = 3 and 4, and from ``deltas_of`` for
     other k.  The witness is always re-verified by ``deltas_of``.
     """
-    # from a list, not a generator: see PolygonTuple.residues
-    deltas = tuple([int(d) for d in deltas if int(d) > 1])
+    deltas = [int(d) for d in deltas]
     if k < 3:
         raise PreconditionFailed(f"need k >= 3, got {k}")
+    for d in deltas:
+        if d < 1:
+            raise PreconditionFailed(f"target factor {d} is not positive")
+    # from a list, not a generator: see PolygonTuple.residues
+    deltas = tuple([d for d in deltas if d > 1])
     if not deltas:
         raise PreconditionFailed("target invariant factors must be nontrivial")
     for d in deltas:

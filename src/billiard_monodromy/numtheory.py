@@ -150,13 +150,3 @@ def crt_pair(a: int, n1: int, b: int, n2: int) -> int:
     m = pow(n1, -1, n2)
     return (a + n1 * ((b - a) * m % n2)) % (n1 * n2)
 
-
-def smallest_primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group mod a prime p."""
-    if p == 2:
-        return 1
-    order_factors = prime_factorization(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in order_factors):
-            return g
-    raise ArithmeticError(f"no primitive root found mod {p}")

@@ -160,6 +160,19 @@ def _packed_pair(pp):
     return _pack(pp.sigma0, size), _pack(pp.sigma1, size), size
 
 
+def check_group_cap(t: PolygonTuple, cap: int = DEFAULT_GROUP_CAP) -> None:
+    """CapExceeded, before any permutation is built, when the orbit of edge
+    (0, 0) alone outgrows the group cap.
+
+    sigma0 reaches every second coordinate, and the first coordinates
+    reached are the multiples of g = gcd(a_0, ..., a_{k-1}, n), so the
+    orbit holds k * n / g edges, and |G| is at least that.
+    """
+    n = t.modulus
+    if t.k * n // gcd(n, *t.entries) > cap:
+        raise CapExceeded(f"group closure exceeded cap {cap}")
+
+
 def group_order(pp: PermutationPair, cap: int = DEFAULT_GROUP_CAP) -> int:
     """Size of <sigma0, sigma1>, or CapExceeded with the partial count."""
     s0, s1, size = _packed_pair(pp)
@@ -322,6 +335,7 @@ def check_structure(t: PolygonTuple,
     - conjugation_is_cyclic_shift: conjugating by sigma0 rotates the
       translation vectors by one coordinate.
     """
+    check_group_cap(t, group_cap)
     pp = build_permutations(t)
     n, k = pp.n, pp.k
     s0, s1, size = _packed_pair(pp)

@@ -255,16 +255,24 @@ def rotate(f: FpPoly, k: int) -> FpPoly:
     return FpPoly(f.p, _trim(c[-1:] + c[:-1] if len(c) == k else (0,) + c))
 
 
-def _roots_of_unity(p, r):
-    # the z in F_p with z^r = 1, ascending, for r dividing p - 1: the powers
-    # of an element of order r, taken as the first x^((p-1)/r) of no
-    # smaller order, so neither F_p nor the factors of p - 1 are searched
+def element_of_order(p: int, r: int) -> int:
+    """An element of order r in F_p^*, for r dividing p - 1: the first
+    x^((p-1)/r), x = 1, 2, ..., of no smaller order, so only r is factored
+    and F_p is not scanned past that x.  At r = p - 1 it is x itself, the
+    smallest primitive root mod p."""
     primes = prime_factorization(r)
     for x in range(1, p):
         z = pow(x, (p - 1) // r, p)
         if all(pow(z, r // q, p) != 1 for q in primes):
-            return sorted([pow(z, i, p) for i in range(r)])
+            return z
     raise ArithmeticError(f"no element of order {r} mod {p}")
+
+
+def _roots_of_unity(p, r):
+    # the z in F_p with z^r = 1, ascending, for r dividing p - 1: the powers
+    # of an element of order r
+    z = element_of_order(p, r)
+    return sorted([pow(z, i, p) for i in range(r)])
 
 
 def _cosets(m, p):

@@ -9,7 +9,7 @@ import pytest
 
 import billiard_monodromy
 from billiard_monodromy import (
-    circulant, cli, construct, numtheory, oracle, polyfp, validate)
+    circulant, cli, construct, exactla, numtheory, oracle, polyfp, validate)
 from billiard_monodromy.cli import main
 from billiard_monodromy.exactla import invariant_factors_mod
 
@@ -84,6 +84,14 @@ class TestSnf:
         code, _, _ = run(capsys, "snf")
         assert code == 3
 
+    @pytest.mark.parametrize("circulant_args", [
+        [], ["--n", "5", "--tuple", "2,2,2,4"]], ids=["alone", "with-circulant"])
+    def test_empty_matrix_is_usage(self, capsys, circulant_args):
+        # an empty --matrix is parsed, not taken as absent
+        code, out, err = run(capsys, "snf", "--matrix", "", *circulant_args)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: --matrix must be a JSON array of rows: ")
+
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_nonpositive_modulus_is_domain_error(self, capsys, n):
         code, out, err = run(capsys, "snf", "--n", n, "--tuple", "1,2")
@@ -99,12 +107,12 @@ class TestSnf:
         code, out, err = run(capsys, "snf", *argv)
         assert (code, out) == (2, "")
         assert err == (f"cap exceeded: Smith normal form of a {shape} matrix "
-                       f"exceeds SNF_DIM_CAP={cli.SNF_DIM_CAP}\n")
+                       f"exceeds SNF_DIM_CAP={exactla.SNF_DIM_CAP}\n")
 
     def test_dimension_cap_admits_the_cap(self, capsys):
         n, entries = 720720, list(range(1, 16))
         entries.append(-sum(entries) % n)
-        assert len(entries) == cli.SNF_DIM_CAP
+        assert len(entries) == exactla.SNF_DIM_CAP
         code, out, _ = run(capsys, "snf", "--n", str(n),
                            "--tuple", ",".join(map(str, entries)), "--json")
         assert code == 0
@@ -175,6 +183,21 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"cap exceeded: {closure} closure exceeded cap 99\n"
+
+    @pytest.mark.parametrize("command", [["verify"], ["group", "--verify"]])
+    def test_orbit_over_the_group_cap_builds_no_permutations(
+            self, capsys, monkeypatch, command):
+        # the orbit of edge (0, 0) alone holds 3 n > 10^6 edges
+        def spy(t):
+            raise AssertionError("build_permutations called")
+
+        monkeypatch.setattr(oracle, "build_permutations", spy)
+        n = 10**18 + 3
+        code, out, err = run(capsys, *command, "--n", str(n),
+                             "--tuple", f"1,1,{n - 2}")
+        assert (code, out) == (2, "")
+        assert err == ("cap exceeded: group closure exceeded cap "
+                       f"{oracle.DEFAULT_GROUP_CAP}\n")
 
 
 class TestFactor:
@@ -468,6 +491,22 @@ class TestCalculus:
                            "--deltas", "35")
         assert code == 0
         assert out.startswith("infeasible (mod 5)")
+
+    @pytest.mark.parametrize("ell", ["0", "-2"])
+    def test_lift_to_nonpositive_ell_is_domain_error(self, capsys, ell):
+        code, out, err = run(capsys, "lift", "--n", "5", "--tuple", "1,4",
+                             "--ell", ell)
+        assert (code, out) == (1, "")
+        assert err == ("rejected: PreconditionFailed: ell must be positive, "
+                       f"got {ell}\n")
+
+    @pytest.mark.parametrize("deltas,bad", [("6,0", "0"), ("-6", "-6")])
+    def test_composite_nonpositive_target_is_domain_error(self, capsys, deltas, bad):
+        code, out, err = run(capsys, "composite", "--k", "3", "--n", "6",
+                             "--deltas", deltas)
+        assert (code, out) == (1, "")
+        assert err == ("rejected: PreconditionFailed: target factor "
+                       f"{bad} is not positive\n")
 
     @pytest.mark.parametrize("n,deltas", [("0", "5"), ("-6", "6")])
     def test_composite_modulus_below_two_is_domain_error(self, capsys, n, deltas):

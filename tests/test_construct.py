@@ -140,6 +140,15 @@ class TestLift:
         with pytest.raises(NotMultiple):
             lift(validate([1, 2, 4], 7), 7)
 
+    @pytest.mark.parametrize("ell", [0, -2])
+    def test_nonpositive_ell(self, ell):
+        with pytest.raises(PreconditionFailed,
+                           match=f"^ell must be positive, got {ell}$"):
+            lift(validate([1, 4], 5), ell)
+        # a non-multiple keeps its own message
+        with pytest.raises(NotMultiple):
+            lift(validate([1, 2, 4], 7), ell + 1)
+
     def test_preserves_deltas_scales_order(self):
         rng = random.Random(113)
         for _ in range(60):
@@ -453,6 +462,16 @@ class TestCompositeFeasible:
             composite_feasible(3, 10, (3,))
         with pytest.raises(PreconditionFailed):
             composite_feasible(3, 10, (2, 10))
+
+    @pytest.mark.parametrize("deltas,bad", [((6, 0), 0), ((-6,), -6), ((6, 1, -1), -1)])
+    def test_nonpositive_target_is_named(self, deltas, bad):
+        with pytest.raises(PreconditionFailed,
+                           match=f"^target factor {bad} is not positive$"):
+            composite_feasible(3, 6, deltas)
+        # the k check comes first, and a factor 1 is still dropped
+        with pytest.raises(PreconditionFailed, match="^need k >= 3"):
+            composite_feasible(2, 6, deltas)
+        assert composite_feasible(3, 6, (6, 2, 1)) == composite_feasible(3, 6, (6, 2))
 
     @pytest.mark.parametrize("n,deltas", [(0, (5,)), (-6, (6,))])
     def test_modulus_below_two(self, n, deltas):

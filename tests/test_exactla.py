@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from billiard_monodromy import circulant, exactla, minor_gcd, rank_mod_p, smith_normal_form, validate
-from billiard_monodromy.errors import JOutOfRange, PNotPrime
+from billiard_monodromy.errors import CapExceeded, JOutOfRange, PNotPrime
 from billiard_monodromy.exactla import det, identity, invariant_factors_mod
 from conftest import mat_mul
 
@@ -58,6 +58,20 @@ class TestSmithNormalForm:
     def test_rectangular(self):
         res = assert_snf_contract([[2, 4, 6], [4, 8, 12]])
         assert res.divisors == (2, 0)
+
+    @pytest.mark.parametrize("rows,cols", [(17, 17), (18, 17), (17, 40)])
+    def test_dimension_cap(self, rows, cols, monkeypatch):
+        # refused before U or V is built
+        monkeypatch.setattr(exactla, "identity", None)
+        with pytest.raises(CapExceeded) as exc:
+            smith_normal_form([[1] * cols for _ in range(rows)])
+        assert str(exc.value) == (f"Smith normal form of a {rows} x {cols} "
+                                  "matrix exceeds SNF_DIM_CAP=16")
+
+    @pytest.mark.parametrize("rows,cols", [(16, 16), (40, 16), (2, 17)])
+    def test_dimension_cap_admits_the_cap(self, rows, cols):
+        A = [[int(i == j) for j in range(cols)] for i in range(rows)]
+        assert smith_normal_form(A).divisors == (1,) * min(rows, cols)
 
     def test_random_contract(self):
         rng = random.Random(23)
@@ -374,7 +388,8 @@ class TestPackedLocalElimination:
         assert widths.count(16) == 12 and widths.count(32) == 12
 
     @pytest.mark.parametrize("k,seed", [(28, 1), (32, 35)])
-    def test_large_circulants_match_integer_snf(self, k, seed):
+    def test_large_circulants_match_integer_snf(self, k, seed, monkeypatch):
+        monkeypatch.setattr(exactla, "SNF_DIM_CAP", 32)
         # a(x) = b(x) (1 + x^(k/2)) + 6 c(x), so x^(k/2) + 1 and the primes
         # 2 and 3 leave many non-unit pivots; mod 2^5 * 3^3 reaches
         # exponents that 720720 = 2^4 3^2 5 7 11 13 does not

@@ -107,6 +107,44 @@ class TestGroupOrder:
         assert exc.value.partial == 10
 
 
+class TestGroupCap:
+    def test_orbit_of_edge_zero_bounds_the_group(self):
+        # slow route: the orbit of edge (0, 0) by breadth-first search, on
+        # hand-built tuples too, whose gcd(entries, n) may exceed 1
+        rng = random.Random(131)
+        for _ in range(300):
+            k, n = rng.randint(2, 5), rng.randint(1, 12)
+            if n**k > 20000:
+                continue
+            step = rng.randint(1, 3)
+            t = PolygonTuple(tuple(step * rng.randrange(n) % n for _ in range(k)), n)
+            pp = build_permutations(t)
+            orbit, frontier = {0}, [0]
+            while frontier:
+                x = frontier.pop()
+                for y in (pp.sigma0[x], pp.sigma1[x]):
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            bound = k * n // gcd(n, *t.entries)
+            assert len(orbit) == bound, t
+            size = group_order(pp)
+            assert size >= bound, t
+            oracle.check_group_cap(t, size)
+            with pytest.raises(CapExceeded,
+                               match=f"^group closure exceeded cap {bound - 1}$"):
+                oracle.check_group_cap(t, bound - 1)
+
+    def test_check_structure_refuses_before_building(self, monkeypatch):
+        def spy(t):
+            raise AssertionError("build_permutations called")
+
+        monkeypatch.setattr(oracle, "build_permutations", spy)
+        n = 10**18 + 3
+        with pytest.raises(CapExceeded, match="^group closure exceeded cap 1000000$"):
+            check_structure(validate([1, 1, n - 2], n))
+
+
 class TestSpanInvariants:
     def test_worked_example(self):
         inv = span_invariants(validate([2, 2, 2, 4], 5))

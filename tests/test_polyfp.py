@@ -270,6 +270,14 @@ def test_roots_of_unity_match_scans():
             assert linear == [(-z % p, 1) for z in scan], (p, m)
 
 
+def test_element_of_order_p_minus_1_is_the_smallest_primitive_root():
+    # slow route: the first x whose powers reach every unit
+    for p in (q for q in range(2, 2000) if is_prime(q)):
+        scan = next(x for x in range(1, p)
+                    if len({pow(x, i, p) for i in range(p - 1)}) == p - 1)
+        assert polyfp.element_of_order(p, p - 1) == scan, p
+
+
 def _trial_division_split(p, g, d, m):
     # slow route: g divides x^m - 1 and is squarefree with every factor of
     # degree d; try monic degree-d candidates, tails in lexicographic order,
