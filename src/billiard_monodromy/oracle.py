@@ -8,12 +8,15 @@ enumerated directly as the additive span of the circulant columns.  Nothing
 here touches the exact linear algebra module, so the two routes to the
 group structure stay independent.
 
-A span vector is packed into one int, a fixed-width field per coordinate,
-so that two vectors add mod n in a few int operations.  The span is built
-one column at a time, as the union of the cosets of the span so far, and
-each element is produced once.  This is still a brute-force enumeration:
-every element is built and inspected, and no matrix is reduced and no gcd
-of polynomials taken, so its answers stay an independent check.
+The span is one bytes blob of fixed-size records, one per vector, each a
+fixed-width field per coordinate.  Read as one int, the blob takes a vector
+added to every record, mod n, in a handful of big-int operations (SIMD
+within a register).  The span is built one column at a time, as the union
+of the cosets of the span so far, and each coset is made by doubling: the
+records so far, plus a multiple of the column.  This is still a
+brute-force enumeration: every element is built and inspected, and no
+matrix is reduced and no gcd of polynomials taken, so its answers stay an
+independent check.
 
 Permutations are stored as bytes when n*k <= 256 and as tuples otherwise.
 A composite a . b is one C-level call either way: ``b.translate`` through
@@ -23,6 +26,7 @@ a's 256-entry table (built once per left factor, see ``_table``), or an
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat, starmap
 from math import gcd, prod
 from operator import itemgetter
 import struct
@@ -34,6 +38,11 @@ from .polygon import PolygonTuple
 
 DEFAULT_SPAN_CAP = 100_000
 DEFAULT_GROUP_CAP = 1_000_000
+# A closure element stores n*k entries, so an element cap alone does not
+# bound memory: 10^6 tuples of 3000 entries are 24 GB.  Each closure keeps
+# at most this many entries (160 MB of tuple slots, a fifth of that in the
+# bytes encoding), and fewer elements than its cap when they are long.
+CLOSURE_ENTRY_BUDGET = 20_000_000
 
 # struct codes of the packed field widths that decode at C speed
 _STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
@@ -130,7 +139,10 @@ def _closure(generators, size, cap, name="group"):
     """All products of the generators, by breadth-first multiplication.
 
     ``name`` says which cap governs the closure in the CapExceeded message.
+    The element cap is lowered, once, to the elements of ``size`` entries
+    that CLOSURE_ENTRY_BUDGET holds, and the message then names the budget.
     """
+    limit = min(cap, CLOSURE_ENTRY_BUDGET // size)
     seen = {_like(generators[0], range(size))}
     frontier = list(seen)
     tables = [_table(g) for g in generators]
@@ -146,9 +158,13 @@ def _closure(generators, size, cap, name="group"):
                 count = len(seen)
                 seen.add(h)
                 if len(seen) > count:
-                    if count >= cap:
+                    if count >= limit:
                         raise CapExceeded(
-                            f"{name} closure exceeded cap {cap}",
+                            f"{name} closure exceeded cap {cap}"
+                            if limit == cap else
+                            f"{name} closure exceeded CLOSURE_ENTRY_BUDGET="
+                            f"{CLOSURE_ENTRY_BUDGET} stored permutation entries"
+                            f" ({limit} elements of {size} entries)",
                             partial=count)
                     nxt.append(h)
         frontier = nxt
@@ -190,65 +206,108 @@ def _field_width(n):
     return next((w for w in (8, 16, 32, 64) if need <= w), need)
 
 
-def _span_codes(t: PolygonTuple, cap: int):
-    """The span as a set of packed codes, and the field width w.
+def _record_bytes(w, k):
+    """Bytes per record of k w-bit fields: 1, 2, 4 or 8 when they hold
+    w*k bits, else the bytes that do."""
+    return next((b for b in (1, 2, 4, 8) if w * k <= 8 * b), -(-w * k // 8))
 
-    Coordinate i of a vector sits in bits [w*i, w*i + w) of one int.  Two
-    codes add coordinatewise with one int addition s; s + offset sets the
-    guard bit of every field holding a sum >= n, and n is taken off exactly
-    those fields.  The span grows one column c at a time: with S the span
-    of the earlier columns and t the least t >= 1 with t*c in S, the new
-    span is the disjoint union of the cosets S + r*c for r < t.  So every
-    element is built exactly once, from the one before it in its coset.
+
+def _each_record(rb, count):
+    """The int with a 1 in the lowest bit of each of count rb-byte records:
+    v times it repeats the record v count times."""
+    return int.from_bytes((1).to_bytes(rb, "little") * count, "little")
+
+
+def _holds(blob, record):
+    """Whether ``record`` is one of the blob's records, by aligned find."""
+    rb = len(record)
+    i = blob.find(record)
+    while i > 0 and i % rb:
+        i = blob.find(record, i + 1)
+    return i >= 0
+
+
+def _span_codes(t: PolygonTuple, cap: int):
+    """The span as a blob of packed records, the field width w and the
+    record size rb in bytes.
+
+    Record j is bytes [rb*j, rb*j + rb) of the blob, and coordinate i of
+    its vector is bits [w*i, w*i + w) of it, little-endian; any bits above
+    w*k are zero.  Read as one int, the blob adds a vector c to every
+    record at once: s = blob + c repeated; s + offset sets the guard bit of
+    every field holding a sum >= n, and n is taken off exactly those
+    fields.  The span grows one column c at a time: with S the span of the
+    earlier columns and t the least t >= 1 with t*c in S, the new span is
+    the disjoint union of the cosets S + r*c for r < t.  Those cosets are
+    built by doubling: the records of cosets 0..m-1, plus m*c, are cosets
+    m..2m-1.
     """
     n, k = t.modulus, t.k
     w = _field_width(n)
+    rb = _record_bytes(w, k)
     ones = sum(1 << (w * i) for i in range(k))
     guard = ones << (w - 1)
     offset = ((1 << (w - 1)) - n) * ones
     mask = (1 << (w * k)) - 1
-    a = sum(x << (w * i) for i, x in enumerate(t.residues()))
+    residues = t.residues()
+    a = sum(x << (w * i) for i, x in enumerate(residues))
+
+    def plus(x, c, each=1):
+        # x plus c in every record, mod n per field; each = _each_record(...)
+        # for as many records as x holds
+        s = x + c * each
+        return s - (((s + offset * each) & (guard * each)) >> (w - 1)) * n
+
     limit = max(cap, 1)
-    span = {0}
+    x, count = 0, 1
     for j in range(k):
         # column j is a, rotated by j coordinates
         c = ((a << (w * j)) & mask) | (a >> (w * (k - j)))
-        step, cosets = c, 1
-        while step not in span:
-            cosets += 1
-            if len(span) * cosets > limit:
-                raise CapExceeded(f"span closure exceeded cap {cap}",
-                                  partial=limit)
-            step = (s := step + c) - (((s + offset) & guard) >> (w - 1)) * n
-        coset = list(span)
-        for _ in range(cosets - 1):
-            coset = [(s := x + c) - (((s + offset) & guard) >> (w - 1)) * n
-                     for x in coset]
-            span.update(coset)
-    return span, w
+        if count == 1:
+            # S = {0}, so t is the order of c, which every column shares
+            cosets = n // gcd(n, *residues)
+        else:
+            span = x.to_bytes(rb * count, "little")
+            step, cosets = c, 1
+            while (count * cosets <= limit
+                   and not _holds(span, step.to_bytes(rb, "little"))):
+                cosets += 1
+                step = plus(step, c)
+        if count * cosets > limit:
+            raise CapExceeded(f"span closure exceeded cap {cap}",
+                              partial=limit)
+        total = count * cosets
+        while count < total:
+            part = min(count, total - count)
+            low = x if part == count else x & ((1 << (8 * rb * part)) - 1)
+            x |= plus(low, c, _each_record(rb, part)) << (8 * rb * count)
+            count += part
+            c = plus(c, c)
+    return x.to_bytes(rb * count, "little"), w, rb
 
 
-def _decoder(k, w):
-    """code -> the tuple of its k coordinates."""
+def _vectors(blob, k, w, rb):
+    """The blob's records, each as the tuple of its k coordinates."""
     if w > 64:
         # such a span holds at least n > 2^62 elements when its tuple is
         # valid, so this is reached only by hand-built tuples
         field = (1 << w) - 1
-        return lambda v: tuple([v >> (w * i) & field for i in range(k)])
-    unpack = struct.Struct(f"<{k}{_STRUCT_CODES[w]}").unpack
-    size = k * w // 8
-    return lambda v: unpack(v.to_bytes(size, "little"))
+        return (tuple([v >> (w * i) & field for i in range(k)])
+                for v in (int.from_bytes(blob[j:j + rb], "little")
+                          for j in range(0, len(blob), rb)))
+    return struct.Struct(
+        f"<{k}{_STRUCT_CODES[w]}{rb - k * w // 8}x").iter_unpack(blob)
 
 
 def span_vectors(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> set:
     """Additive closure of the circulant columns inside (Z/nZ)^k.
 
-    Every element is enumerated, as packed codes (see ``_span_codes``), and
-    decoded to a k-tuple.  CapExceeded when the span has more than ``cap``
-    elements.
+    Every element is enumerated, as a packed record (see ``_span_codes``),
+    and decoded to a k-tuple.  CapExceeded when the span has more than
+    ``cap`` elements.
     """
-    codes, w = _span_codes(t, cap)
-    return set(map(_decoder(t.k, w), codes))
+    blob, w, rb = _span_codes(t, cap)
+    return set(_vectors(blob, t.k, w, rb))
 
 
 def span_invariants(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> AbelianInvariants:
@@ -261,12 +320,16 @@ def span_invariants(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> AbelianInva
     first s(j) - s(j-1) factors each take one more p.  No matrix reduction
     is involved.
     """
-    codes, w = _span_codes(t, cap)
+    blob, w, rb = _span_codes(t, cap)
     n = t.modulus
-    decode = _decoder(t.k, w)
-    # one code decoded at a time: a list of decoded vectors would hold
-    # the whole span twice over
-    tally = Counter(n // gcd(n, *decode(v)) for v in codes)
+    count = len(blob) // rb
+    # the cosets are disjoint by construction; the set checks it
+    vectors = set(_vectors(blob, t.k, w, rb))
+    if len(vectors) != count:
+        raise AssertionError("span records repeat")
+    # the order n / gcd(n, gcd(v)) of each vector, at C speed
+    tally = Counter(map(n.__floordiv__,
+                        map(gcd, repeat(n), starmap(gcd, vectors))))
     factors = []
     for p, e in prime_factorization(n).items():
         prev = 0
@@ -281,20 +344,24 @@ def span_invariants(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> AbelianInva
                 factors[i] *= p
             prev = s
     factors = tuple(factors)
-    if prod(factors) != len(codes):
+    if prod(factors) != count:
         raise AssertionError("annihilator counts inconsistent with span size")
-    return AbelianInvariants(order=len(codes), factors=factors)
+    return AbelianInvariants(order=count, factors=factors)
 
 
 def span_shift_is_trivial(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> bool:
     """Whether the cyclic coordinate shift fixes every span vector.
 
-    Each packed code is compared with its rotation by one coordinate.
+    The blob is compared, as one int, with every record rotated by one
+    coordinate.
     """
-    codes, w = _span_codes(t, cap)
-    mask = (1 << (w * t.k)) - 1
-    top = w * (t.k - 1)
-    return all(((v << w) & mask) | (v >> top) == v for v in codes)
+    blob, w, rb = _span_codes(t, cap)
+    each = _each_record(rb, len(blob) // rb)
+    first = (1 << w) - 1
+    rest = ((1 << (w * t.k)) - 1) ^ first
+    x = int.from_bytes(blob, "little")
+    return (((x << w) & rest * each)
+            | ((x >> (w * (t.k - 1))) & first * each)) == x
 
 
 # ---- structural checks ----

@@ -199,6 +199,31 @@ class TestVerify:
         assert err == ("cap exceeded: group closure exceeded cap "
                        f"{oracle.DEFAULT_GROUP_CAP}\n")
 
+    @pytest.mark.parametrize("command", [["verify"], ["group", "--verify"]],
+                             ids=["verify", "group-verify"])
+    def test_closure_entry_budget_bounds_memory(self, command):
+        # |G| = 3 * 10^6 is over the group cap, but the orbit bound k*n/gcd
+        # = 3000 is not; each element holds 3000 entries, so the budget
+        # stops the closure long before its cap.  Under a 512 MB address
+        # space limit, a run without the budget ends in a MemoryError.
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        src = os.path.dirname(os.path.dirname(billiard_monodromy.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "billiard_monodromy.cli", *command,
+             "--n", "1000", "--tuple", "1,1,998"],
+            capture_output=True, text=True, preexec_fn=limit_memory,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        budget = oracle.CLOSURE_ENTRY_BUDGET
+        assert proc.stderr == (
+            f"cap exceeded: group closure exceeded CLOSURE_ENTRY_BUDGET="
+            f"{budget} stored permutation entries "
+            f"({budget // 3000} elements of 3000 entries)\n")
+
 
 class TestFactor:
     def test_text(self, capsys):

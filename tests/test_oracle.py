@@ -1,4 +1,5 @@
 import random
+import struct
 from collections import Counter
 from math import gcd, prod
 
@@ -20,6 +21,7 @@ from billiard_monodromy import EdgeLabel
 from billiard_monodromy.errors import CapExceeded
 from billiard_monodromy.monodromy import (DEFAULT_ACTION_CAP, deltas_of,
                                           group_of)
+from billiard_monodromy.numtheory import divisors
 from billiard_monodromy.polygon import PolygonTuple, enumerate_geometric
 from billiard_monodromy.oracle import (
     _closure,
@@ -286,6 +288,119 @@ class TestSpanEnumeration:
                 assert _outcome(f, t, cap) == expected, (f, cap)
 
 
+def _span_codes_reference(t, cap):
+    """The span as a set of packed codes, and the field width w: the
+    set-based coset union that the record blob replaced, kept as its
+    reference.  One packed addition and one set insert per element."""
+    n, k = t.modulus, t.k
+    w = oracle._field_width(n)
+    ones = sum(1 << (w * i) for i in range(k))
+    guard = ones << (w - 1)
+    offset = ((1 << (w - 1)) - n) * ones
+    mask = (1 << (w * k)) - 1
+    a = sum(x << (w * i) for i, x in enumerate(t.residues()))
+    limit = max(cap, 1)
+    span = {0}
+    for j in range(k):
+        # column j is a, rotated by j coordinates
+        c = ((a << (w * j)) & mask) | (a >> (w * (k - j)))
+        step, cosets = c, 1
+        while step not in span:
+            cosets += 1
+            if len(span) * cosets > limit:
+                raise CapExceeded(f"span closure exceeded cap {cap}",
+                                  partial=limit)
+            step = (s := step + c) - (((s + offset) & guard) >> (w - 1)) * n
+        coset = list(span)
+        for _ in range(cosets - 1):
+            coset = [(s := x + c) - (((s + offset) & guard) >> (w - 1)) * n
+                     for x in coset]
+            span.update(coset)
+    return span, w
+
+
+def _decoder_reference(k, w):
+    """code -> the tuple of its k coordinates."""
+    if w > 64:
+        field = (1 << w) - 1
+        return lambda v: tuple([v >> (w * i) & field for i in range(k)])
+    unpack = struct.Struct(f"<{k}{oracle._STRUCT_CODES[w]}").unpack
+    size = k * w // 8
+    return lambda v: unpack(v.to_bytes(size, "little"))
+
+
+def _reference_span(t, cap):
+    codes, w = _span_codes_reference(t, cap)
+    return set(map(_decoder_reference(t.k, w), codes))
+
+
+def _record_grid():
+    """Seeded tuples over every field width and record size.
+
+    (n, k) pairs give w = 8, 16, 32 and 64, and records of 1, 2, 4 and 8
+    bytes and of 9, 10, 12, 16 and 24.  Entries are multiples of n // d
+    for a divisor d of n: d = n gives any entries, and d^k up to about
+    3000 keeps the span under the cap.  Each pair also gets a tuple whose
+    residues are all equal.
+    """
+    rng = random.Random(1919)
+    pairs = [(n, k) for n in (2, 7, 64) for k in (1, 2, 3, 5, 9)]
+    pairs += [(n, k) for n in (65, 1000, 16384) for k in (2, 3, 5)]
+    pairs += [(n, k) for n in (16385, 2**30, 2**30 + 1, 2**62)
+              for k in (2, 3)]
+    out = []
+    for n, k in pairs:
+        small = [d for d in divisors(n) if d**k <= 3000] + [n]
+        for _ in range(6):
+            d = rng.choice(small)
+            out.append(PolygonTuple(
+                tuple(n // d * rng.randrange(d) for _ in range(k)), n))
+        out.append(PolygonTuple((rng.randrange(n),) * k, n))
+    return out
+
+
+class TestSpanRecords:
+    """The record blob against the set-based enumeration it replaced."""
+
+    def test_grid_covers_widths_and_record_sizes(self):
+        shapes = set()
+        for t in _record_grid():
+            w = oracle._field_width(t.modulus)
+            shapes.add((w, oracle._record_bytes(w, t.k)))
+        assert {w for w, _ in shapes} == {8, 16, 32, 64}
+        assert {rb for _, rb in shapes} == {1, 2, 4, 8, 9, 10, 12, 16, 24}
+
+    def test_matches_reference(self):
+        admitted = 0
+        for t in _record_grid():
+            expected = _outcome(_reference_span, t, 3000)
+            assert _outcome(span_vectors, t, 3000) == expected, t
+            if isinstance(expected, tuple):
+                continue
+            admitted += 1
+            size = len(expected)
+            for cap in (size, size - 1):
+                want = _outcome(_reference_span, t, cap)
+                assert _outcome(span_vectors, t, cap) == want, (t, cap)
+                shift = (want if isinstance(want, tuple) else
+                         all(v[-1:] + v[:-1] == v for v in want))
+                assert _outcome(span_shift_is_trivial, t, cap) == shift, (t, cap)
+                inv = _outcome(span_invariants, t, cap)
+                if isinstance(want, tuple):
+                    assert inv == want, (t, cap)
+                    continue
+                # the elements that d kills number prod gcd(d, f) over the
+                # invariant factors f, for every d | n
+                assert inv.order == size
+                for d in divisors(t.modulus):
+                    killed = sum(1 for v in want
+                                 if all(d * x % t.modulus == 0 for x in v))
+                    assert killed == prod(gcd(d, f) for f in inv.factors), (t, d)
+            if len(set(t.residues())) == 1:
+                assert span_shift_is_trivial(t, size)
+        assert admitted >= 150
+
+
 @st.composite
 def small_algebraic(draw, k_max=5, n_max=10):
     k = draw(st.integers(2, k_max))
@@ -511,6 +626,27 @@ class TestEncodings:
                 _closure(list(gens), 20, 99, "span")
             assert str(exc.value) == "span closure exceeded cap 99"
             assert exc.value.partial == 99
+
+    def test_entry_budget_lowers_the_cap(self, monkeypatch):
+        # 20 entries per element: a budget of 20 * 99 entries admits 99
+        monkeypatch.setattr(oracle, "CLOSURE_ENTRY_BUDGET", 20 * 99 + 19)
+        packed, plain = _both_encodings(validate([2, 2, 2, 4], 5))
+        for gens in (packed, plain):
+            with pytest.raises(CapExceeded) as exc:
+                _closure(list(gens), 20, 10**6, "span")
+            assert str(exc.value) == (
+                "span closure exceeded CLOSURE_ENTRY_BUDGET=1999 stored "
+                "permutation entries (99 elements of 20 entries)")
+            assert exc.value.partial == 99
+            # a cap under the budget keeps its own message
+            with pytest.raises(CapExceeded) as exc:
+                _closure(list(gens), 20, 50, "span")
+            assert str(exc.value) == "span closure exceeded cap 50"
+            assert exc.value.partial == 50
+        # |G| = 500 fits a budget of exactly 500 elements
+        monkeypatch.setattr(oracle, "CLOSURE_ENTRY_BUDGET", 20 * 500)
+        for gens in (packed, plain):
+            assert len(_closure(list(gens), 20, 10**6)) == 500
 
     @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
     def test_reports_agree(self, monkeypatch, mutation):
