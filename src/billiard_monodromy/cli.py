@@ -18,10 +18,10 @@ EXIT_DOMAIN = 1
 EXIT_CAP = 2
 EXIT_USAGE = 3
 
-# tuples `enumerate` lists before it stops with exit 2; with --groups that
-# takes about 0.8-1.2 s at k = 5 (n = 200) and, as group_of slows with k,
-# about 9.5 s at k = 32 (n = 1000), on a shared 2-vCPU host
-ENUMERATE_CAP = 10_000
+# entries `enumerate` lists before exit 2, k per tuple as each costs O(k):
+# 10,000 tuples at k = 5; with --groups about 1 s there (n = 200) and 2 s
+# at k = 32 (n = 1000) on a shared 2-vCPU host
+ENUMERATE_CAP = 50_000
 
 
 class _Usage(Exception):
@@ -151,9 +151,10 @@ def cmd_enumerate(args):
            else enumerate_algebraic)(args.k, args.n)
     items, lines = [], []
     for t in gen:
-        if len(items) == ENUMERATE_CAP:
+        if (len(items) + 1) * args.k > ENUMERATE_CAP:
             raise CapExceeded(f"enumerating {args.level} {args.k}-tuples mod {args.n} "
-                              f"exceeded ENUMERATE_CAP={ENUMERATE_CAP} tuples", partial=len(items))
+                              f"exceeded ENUMERATE_CAP={ENUMERATE_CAP} entries",
+                              partial=len(items) * args.k)
         item = {"tuple": t.to_json_dict()}
         line = str(t)
         if args.groups:

@@ -119,47 +119,60 @@ def achievable_d_set(k: int, p: int) -> set:
     return {1 + s for s in sums}
 
 
-def _subset_with_degree(rest, target):
-    # lexicographically first index subset (by size, then order) hitting
-    # target; reach[i] holds the (size, degree sum) pairs rest[i:] can make,
-    # so the greedy pick below takes the smallest index that can complete
-    degs = [f.degree for f in rest]
+def _reach(rest, bound):
+    # reach[i] holds the (size, degree sum) pairs rest[i:] can make with sum
+    # at most bound (every degree is positive, so each such pair is found)
     reach = [{(0, 0)}]
-    for d in reversed(degs):
+    for f in reversed(rest):
         below = reach[-1]
-        reach.append(below | {(r + 1, s + d) for r, s in below if s + d <= target})
+        reach.append(below | {(r + 1, s + f.degree) for r, s in below if s + f.degree <= bound})
     reach.reverse()
+    return reach
+
+
+def _subset_with_degree(rest, reach, target):
+    # lexicographically first index subset (by size, then order) hitting
+    # target: the greedy pick takes the smallest index that can complete and
+    # reads only pairs with sum at most target, so one table serves each one
     size = min((r for r, s in reach[0] if s == target), default=None)
     if size is None:
         return None
     chosen, i = [], 0
     while size:
-        while (size - 1, target - degs[i]) not in reach[i + 1]:
+        while (size - 1, target - rest[i].degree) not in reach[i + 1]:
             i += 1
         chosen.append(rest[i])
-        size, target, i = size - 1, target - degs[i], i + 1
+        size, target, i = size - 1, target - rest[i].degree, i + 1
     return chosen
 
 
-def _generic_divisor(k: int, p: int, d: int):
-    # p > k+1: a degree-d divisor g of x^k - 1 containing x-1, and the roots
-    # of (x^k-1)/g; x^k - 1 is squarefree, so those are the roots of the
-    # linear factors left out of g
-    factors = [f for f, _ in factor_xk_minus_1(k, p)]
+def _divisor_table(k: int, p: int):
+    # p > k+1: x - 1, the other factors of x^k - 1 and their reach table up
+    # to k - 2, the largest d - 1.  None at p = k+1, whose routes factor nothing
+    if p == k + 1:
+        return None
     one = FpPoly(p, (p - 1, 1))
-    rest = [f for f in factors if f != one]
-    chosen = _subset_with_degree(rest, d - 1)
+    rest = [f for f, _ in factor_xk_minus_1(k, p) if f.coeffs != one.coeffs]
+    return one, rest, _reach(rest, k - 2)
+
+
+def _generic_divisor(table, d: int):
+    # a degree-d divisor g of x^k - 1 containing x-1, and the roots of
+    # (x^k-1)/g; x^k - 1 is squarefree, so those are the roots of the linear
+    # factors left out of g
+    one, rest, reach = table
+    chosen = _subset_with_degree(rest, reach, d - 1)
     if chosen is None:
         raise AssertionError("achievable d with no matching factor subset")
-    forbidden = frozenset([-f.coeffs[0] % p for f in rest
+    forbidden = frozenset([-f.coeffs[0] % one.p for f in rest
                            if f.degree == 1 and f not in chosen])
     return reduce(polyfp.mul, chosen, one), forbidden
 
 
-def _witness_poly_generic(k: int, p: int, d: int) -> FpPoly:
+def _witness_poly_generic(k: int, d: int, table) -> FpPoly:
     # p > k+1: close the zero gaps of the divisor g with linear factors
     # whose roots avoid (x^k-1)/g
-    f, forbidden = _generic_divisor(k, p, d)
+    f, forbidden = _generic_divisor(table, d)
     for _ in range(k - 1 - d):
         _, f = close_zero_gap(f, forbidden)
     return f
@@ -230,14 +243,14 @@ def construct_prime_case(k: int, p: int, d: int) -> PolygonTuple:
         raise PreconditionFailed(f"need prime p > k >= 3, got k={k}, p={p}")
     if d not in achievable_d_set(k, p):
         raise DNotAchievable(f"d={d} is not an achievable gcd degree for k={k}, p={p}")
-    return _construct(k, p, d)
+    return _construct(k, p, d, _divisor_table(k, p))
 
 
-def _construct(k: int, p: int, d: int) -> PolygonTuple:
+def _construct(k: int, p: int, d: int, table) -> PolygonTuple:
     # construct_prime_case for inputs the caller has checked: p a prime
-    # above k >= 3 and d in achievable_d_set(k, p)
+    # above k >= 3, d in achievable_d_set(k, p) and table = _divisor_table(k, p)
     if p > k + 1:
-        f = _witness_poly_generic(k, p, d)
+        f = _witness_poly_generic(k, d, table)
     elif k % d == 0 and d < k:
         f = _witness_poly_divisor_case(k, p, d)
     elif d < k / 2:
@@ -286,6 +299,7 @@ def classify_prime(k: int, p: int) -> ClassificationReport:
     if not is_prime(p) or not p > k or k < 3:
         raise PreconditionFailed(f"need prime p > k >= 3, got k={k}, p={p}")
     ach = achievable_d_set(k, p)
+    table = _divisor_table(k, p)
     achievable = []
     witnesses = {}
     excluded = []
@@ -293,7 +307,7 @@ def classify_prime(k: int, p: int) -> ClassificationReport:
         desc = GroupDescriptor(p, k, (p,) * (k - d))
         if d in ach:
             achievable.append(desc)
-            witnesses[desc] = _construct(k, p, d)
+            witnesses[desc] = _construct(k, p, d, table)
         else:
             excluded.append((desc, "factor-degree-subset-sum"))
     return ClassificationReport(

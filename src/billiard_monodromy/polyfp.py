@@ -239,8 +239,9 @@ def w_function(f: FpPoly) -> int:
         raise ZeroPolynomial("w is undefined for the zero polynomial")
     best = run = 0
     for c in f.coeffs[:-1]:
-        run = run + 1 if c == 0 else 0
-        best = max(best, run)
+        run = 0 if c else run + 1
+        if run > best:
+            best = run
     return best
 
 
@@ -389,22 +390,25 @@ def close_zero_gap(f: FpPoly, forbidden=frozenset()):
 
     alpha is the smallest nonzero element outside ``forbidden`` that differs
     from every ratio a_{j-1}/a_j of consecutive coefficients; for such alpha
-    the product satisfies w(f*(x - alpha)) = max(w(f) - 1, 0).
+    the product satisfies w(f*(x - alpha)) = max(w(f) - 1, 0).  alpha is
+    that ratio for some j iff a_{j-1} + (p - alpha)*a_j = 0 with a_j != 0,
+    so each alpha is tested on those pairs, without inverses.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot close gaps of the zero polynomial")
-    if f.coeffs[0] == 0:
+    c = f.coeffs
+    if c[0] == 0:
         raise PreconditionFailed("constant term must be nonzero")
     p = f.p
-    bad = set()
-    for j in range(1, len(f.coeffs)):
-        if f.coeffs[j]:
-            bad.add(f.coeffs[j - 1] * pow(f.coeffs[j], -1, p) % p)
+    pairs = [(a, b) for a, b in zip(c, c[1:]) if b]
     target = max(w_function(f) - 1, 0)
     for alpha in range(1, p):
-        if alpha in forbidden or alpha in bad:
+        m = p - alpha
+        if alpha in forbidden or not all((a + m * b) % p for a, b in pairs):
             continue
-        out = FpPoly(p, _mul(p, f.coeffs, (-alpha % p, 1)))
+        # f * (x - alpha) in one pass
+        out = [m * c[0] % p] + [(a + m * b) % p for a, b in zip(c, c[1:])] + [c[-1] % p]
+        out = FpPoly(p, tuple(out))
         if w_function(out) != target:
             raise AssertionError("zero-gap reduction identity violated")
         return alpha, out

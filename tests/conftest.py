@@ -5,7 +5,7 @@ reference routes that only the tests need."""
 from math import gcd
 
 from billiard_monodromy import FpPoly, validate
-from billiard_monodromy.errors import PreconditionFailed, ZeroPolynomial
+from billiard_monodromy.errors import NotEnoughAlphas, PreconditionFailed, ZeroPolynomial
 from billiard_monodromy.polyfp import _divmod
 
 
@@ -80,3 +80,46 @@ def roots(f):
     if f.is_zero:
         raise ZeroPolynomial("every element is a root of 0")
     return [x for x in range(f.p) if f(x) == 0]
+
+
+def w_function_reference(f):
+    """Longest run of zero coefficients below the leading one, by a running
+    maximum."""
+    if f.is_zero:
+        raise ZeroPolynomial("w is undefined for the zero polynomial")
+    best = run = 0
+    for c in f.coeffs[:-1]:
+        run = run + 1 if c == 0 else 0
+        best = max(best, run)
+    return best
+
+
+def close_zero_gap_reference(f, forbidden=frozenset()):
+    """close_zero_gap by its definition: the ratios a_{j-1}/a_j by modular
+    inverses, then the first eligible alpha's product by a schoolbook
+    multiplication."""
+    if f.is_zero:
+        raise ZeroPolynomial("cannot close gaps of the zero polynomial")
+    if f.coeffs[0] == 0:
+        raise PreconditionFailed("constant term must be nonzero")
+    p = f.p
+    bad = set()
+    for j in range(1, len(f.coeffs)):
+        if f.coeffs[j]:
+            bad.add(f.coeffs[j - 1] * pow(f.coeffs[j], -1, p) % p)
+    target = max(w_function_reference(f) - 1, 0)
+    for alpha in range(1, p):
+        if alpha in forbidden or alpha in bad:
+            continue
+        out = [0] * (len(f.coeffs) + 1)
+        for i, a in enumerate(f.coeffs):
+            for j, b in enumerate((-alpha % p, 1)):
+                out[i + j] = (out[i + j] + a * b) % p
+        while out and out[-1] == 0:
+            out.pop()
+        out = FpPoly(p, tuple(out))
+        if w_function_reference(out) != target:
+            raise AssertionError("zero-gap reduction identity violated")
+        return alpha, out
+    raise NotEnoughAlphas(
+        f"no eligible alpha in F_{p} outside {len(forbidden)} forbidden values")

@@ -428,23 +428,25 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--k", "5", "--n", "200")
         assert (code, out) == (2, "")
         assert err == ("cap exceeded: enumerating geometric 5-tuples mod 200 "
-                       "exceeded ENUMERATE_CAP=10000 tuples\n")
+                       "exceeded ENUMERATE_CAP=50000 entries\n")
 
     def test_cap_admits_the_cap(self, capsys, monkeypatch):
-        # there are 9 geometric triangles mod 6
-        monkeypatch.setattr(cli, "ENUMERATE_CAP", 9)
+        # the cap counts k entries per tuple: 10,000 tuples at k = 5, and
+        # the 9 geometric triangles mod 6 are 27 entries
+        assert cli.ENUMERATE_CAP // 5 == 10_000
+        monkeypatch.setattr(cli, "ENUMERATE_CAP", 27)
         code, out, _ = run(capsys, "enumerate", "--k", "3", "--n", "6", "--groups")
         assert code == 0 and out.endswith("9 tuples\n")
-        monkeypatch.setattr(cli, "ENUMERATE_CAP", 8)
+        monkeypatch.setattr(cli, "ENUMERATE_CAP", 26)
         assert run(capsys, "enumerate", "--k", "3", "--n", "6")[0] == 2
 
     def test_cap_far_past_the_recursion_limit(self, capsys, monkeypatch):
         # each tuple's entries come from a loop, not one generator per entry
-        monkeypatch.setattr(cli, "ENUMERATE_CAP", 10)
+        monkeypatch.setattr(cli, "ENUMERATE_CAP", 15_000)
         code, out, err = run(capsys, "enumerate", "--k", "1500", "--n", "3")
         assert (code, out) == (2, "")
         assert err == ("cap exceeded: enumerating geometric 1500-tuples mod 3 "
-                       "exceeded ENUMERATE_CAP=10 tuples\n")
+                       "exceeded ENUMERATE_CAP=15000 entries\n")
 
     @pytest.mark.parametrize("k", ["-1", "0", "1"])
     def test_algebraic_with_fewer_than_two_entries_is_empty(self, capsys, k):

@@ -1,4 +1,6 @@
+import json
 import random
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
@@ -20,11 +22,14 @@ from billiard_monodromy import (
     project,
     validate,
 )
-from billiard_monodromy import construct
+from billiard_monodromy import construct, polyfp
 from billiard_monodromy.construct import (
+    ClassificationReport,
     _associate_representatives,
     _cube_roots,
+    _divisor_table,
     _generic_divisor,
+    _reach,
     _subset_with_degree,
 )
 from billiard_monodromy.errors import (
@@ -41,8 +46,8 @@ from billiard_monodromy.errors import (
 )
 from billiard_monodromy.monodromy import GroupDescriptor, deltas_of
 from billiard_monodromy.numtheory import divisors, is_prime, prime_factorization
-from billiard_monodromy.polyfp import factor_xk_minus_1, xk_minus_1
-from conftest import divide_exact, random_algebraic, roots
+from billiard_monodromy.polyfp import FpPoly, factor_xk_minus_1, xk_minus_1
+from conftest import close_zero_gap_reference, divide_exact, random_algebraic, roots
 
 TWELVE_GON_MOD_35 = (22, 23, 18, 22, 2, 18, 8, 2, 32, 8, 23, 32)
 
@@ -205,16 +210,18 @@ class TestAchievableDSet:
 def test_subset_with_degree_matches_combinations():
     # slow route: the first index combination, smallest size first, whose
     # degrees sum to the target; sizes whose r smallest or r largest degrees
-    # already miss the target are not walked
+    # already miss the target are not walked.  One reach table per (k, p)
+    # serves every target up to its bound
     for k, p, factors in _factor_lists():
         degs = sorted(f.degree for f in factors)
+        reach = _reach(factors, sum(degs) + 1)
         for target in range(sum(degs) + 2):
             sizes = [r for r in range(len(degs) + 1)
                      if sum(degs[:r]) <= target <= sum(degs[len(degs) - r:])]
             slow = next((list(c) for r in sizes
                          for c in combinations(factors, r)
                          if sum(f.degree for f in c) == target), None)
-            assert _subset_with_degree(factors, target) == slow, (k, p, target)
+            assert _subset_with_degree(factors, reach, target) == slow, (k, p, target)
 
 
 def test_generic_forbidden_roots_match_cofactor_roots():
@@ -222,11 +229,95 @@ def test_generic_forbidden_roots_match_cofactor_roots():
     for k, p, _ in _factor_lists():
         if p <= k + 1:
             continue
+        table = _divisor_table(k, p)
         for d in achievable_d_set(k, p):
-            g, forbidden = _generic_divisor(k, p, d)
+            g, forbidden = _generic_divisor(table, d)
             assert g.degree == d, (k, p, d)
             slow = roots(divide_exact(xk_minus_1(k, p), g))
             assert forbidden == frozenset(slow), (k, p, d)
+
+
+# ---- the per-d witness route: every d factors x^k - 1, builds its own
+# subset table and closes the zero gaps by close_zero_gap_reference ----
+
+def _subset_with_degree_reference(rest, target):
+    degs = [f.degree for f in rest]
+    reach = [{(0, 0)}]
+    for d in reversed(degs):
+        below = reach[-1]
+        reach.append(below | {(r + 1, s + d) for r, s in below if s + d <= target})
+    reach.reverse()
+    size = min((r for r, s in reach[0] if s == target), default=None)
+    if size is None:
+        return None
+    chosen, i = [], 0
+    while size:
+        while (size - 1, target - degs[i]) not in reach[i + 1]:
+            i += 1
+        chosen.append(rest[i])
+        size, target, i = size - 1, target - degs[i], i + 1
+    return chosen
+
+
+def _generic_divisor_reference(k, p, d):
+    factors = [f for f, _ in factor_xk_minus_1(k, p)]
+    one = FpPoly(p, (p - 1, 1))
+    rest = [f for f in factors if f != one]
+    chosen = _subset_with_degree_reference(rest, d - 1)
+    forbidden = frozenset([-f.coeffs[0] % p for f in rest
+                           if f.degree == 1 and f not in chosen])
+    return reduce(polyfp.mul, chosen, one), forbidden
+
+
+def _construct_reference(k, p, d, monkeypatch):
+    if p > k + 1:
+        f, forbidden = _generic_divisor_reference(k, p, d)
+        for _ in range(k - 1 - d):
+            _, f = close_zero_gap_reference(f, forbidden)
+    else:
+        with monkeypatch.context() as m:
+            m.setattr(construct, "close_zero_gap", close_zero_gap_reference)
+            if k % d == 0 and d < k:
+                f = construct._witness_poly_divisor_case(k, p, d)
+            elif d < k / 2:
+                f = construct._witness_poly_small_d(k, p, d)
+            else:
+                f = construct._witness_poly_large_d(k, p, d)
+    assert f.degree == k - 1 and all(f.coeffs)
+    raw = validate(f.coeffs, p, "algebraic")
+    witness = construct.pad_to_geometric(raw) or construct.find_geometric_associate(raw)
+    assert deltas_of(witness) == (p,) * (k - d)
+    return witness
+
+
+def _classify_prime_reference(k, p, monkeypatch):
+    ach = achievable_d_set(k, p)
+    achievable, witnesses, excluded = [], {}, []
+    for d in range(1, k):
+        desc = GroupDescriptor(p, k, (p,) * (k - d))
+        if d in ach:
+            achievable.append(desc)
+            witnesses[desc] = _construct_reference(k, p, d, monkeypatch)
+        else:
+            excluded.append((desc, "factor-degree-subset-sum"))
+    return ClassificationReport(parameters={"k": k, "p": p}, achievable=achievable,
+                                witnesses=witnesses, excluded=excluded)
+
+
+@pytest.mark.slow
+def test_witnesses_match_the_per_d_route(monkeypatch):
+    # every prime p < 200 and 3 <= k <= 24 with k < p: the p = k+1 routes
+    # and the per-(k, p) table of the p > k+1 route give the per-d JSON
+    pairs = [(k, p) for p in range(3, 200) if is_prime(p) for k in range(3, min(p, 25))]
+    assert len(pairs) == 888
+    for k, p in pairs:
+        slow = _classify_prime_reference(k, p, monkeypatch)
+        dump = json.dumps(slow.to_json_dict(), sort_keys=True)
+        assert json.dumps(classify_prime(k, p).to_json_dict(), sort_keys=True) == dump, (k, p)
+        for desc in slow.achievable:
+            d = k - len(desc.deltas)
+            assert (construct_prime_case(k, p, d).to_json_dict()
+                    == slow.witnesses[desc].to_json_dict()), (k, p, d)
 
 
 class TestConstructPrimeCase:

@@ -31,7 +31,7 @@ from billiard_monodromy.errors import (
 )
 from billiard_monodromy.numtheory import is_prime
 from billiard_monodromy.polygon import enumerate_algebraic
-from conftest import roots
+from conftest import close_zero_gap_reference, roots, w_function_reference
 
 
 class TestFromTuple:
@@ -463,6 +463,37 @@ class TestCloseZeroGap:
             _, out = close_zero_gap(f)
             assert w_function(out) == max(w0 - 1, 0)
             done += 1
+
+
+def _outcome(fn, f, forbidden):
+    try:
+        alpha, out = fn(f, forbidden)
+    except (NotEnoughAlphas, PreconditionFailed, ZeroPolynomial) as exc:
+        return type(exc), str(exc)
+    return alpha, out
+
+
+def test_close_zero_gap_matches_reference():
+    # slow route: the ratio set by modular inverses and a schoolbook
+    # product, on seeded polynomials with runs of zeros (zero and zero-led
+    # ones included) and forbidden sets from empty to all of F_p^*
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 31, 197, 1000003])
+        coeffs = [rng.randrange(p) if rng.random() < 0.6 else 0
+                  for _ in range(rng.randint(0, 14))]
+        f = FpPoly.make(p, coeffs)
+        sizes = [0, 1, 3, 20] + ([p - 2, p - 1] if p < 1000 else [])
+        forbidden = frozenset(rng.sample(range(1, p), min(rng.choice(sizes), p - 1)))
+        got = _outcome(close_zero_gap, f, forbidden)
+        assert got == _outcome(close_zero_gap_reference, f, forbidden), (f, forbidden)
+        kinds.add(got[0] if isinstance(got[0], type) else "ok")
+        if not f.is_zero:
+            assert w_function(f) == w_function_reference(f), f
+            if isinstance(got[1], FpPoly):
+                assert w_function(got[1]) == w_function_reference(got[1]), got
+    assert kinds == {"ok", NotEnoughAlphas, PreconditionFailed, ZeroPolynomial}
 
 
 def test_rank_equals_k_minus_gcd_degree():
