@@ -455,7 +455,8 @@ def composite_feasible(k: int, n: int, deltas,
     of those is the lexicographic minimum of its orbit.  That minimum has
     as its first nonzero entry that entry's gcd with q, a power of p
     below q, so only tuples led by such a power are built: about q^(k-2)
-    instead of q^(k-1) at a prime q.  ``per_prime_cap`` still bounds q^k.
+    instead of q^(k-1) at a prime q.  ``per_prime_cap`` is compared with
+    q^k, not with that count: CapExceeded when q^k exceeds it.
 
     The local groups of the candidates come from the triangle and
     quadrilateral closed forms for k = 3 and 4, and from ``deltas_of`` for
@@ -486,7 +487,7 @@ def composite_feasible(k: int, n: int, deltas,
         q = p**e
         if q**k > per_prime_cap:
             raise CapExceeded(
-                f"prime power {q} needs {q**k} candidate tuples, cap is {per_prime_cap}")
+                f"prime power {q}: q^k = {q**k} exceeds the cap {per_prime_cap}")
         target = tuple([x for x in (gcd(d, q) for d in deltas) if x > 1])
         found = {}
         for cand in _associate_representatives(k, p, e):

@@ -28,7 +28,7 @@ from .errors import (
 from .numtheory import is_prime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolygonTuple:
     """An ordered tuple of angle numerators with its modulus.
 

@@ -72,6 +72,8 @@ class TestSnf:
         code, out, _ = run(capsys, "snf", "--n", "5", "--tuple", "2,2,2,4")
         assert code == 0
         assert "divisors: 2, 2, 2, 10" in out
+        code, out, _ = run(capsys, "snf", "--n", "5", "--tuple", "2,2,2,4", "--json")
+        assert (code, json.loads(out)["divisors"]) == (0, [2, 2, 2, 10])
 
     def test_matrix_mode_json(self, capsys):
         code, out, _ = run(capsys, "snf", "--matrix", "[[2,0],[0,3]]", "--json")
@@ -442,15 +444,17 @@ class TestEnumerate:
 
     def test_cap_far_past_the_recursion_limit(self, capsys, monkeypatch):
         # each tuple's entries come from a loop, not one generator per entry
-        monkeypatch.setattr(cli, "ENUMERATE_CAP", 15_000)
-        code, out, err = run(capsys, "enumerate", "--k", "1500", "--n", "3")
-        assert (code, out) == (2, "")
-        assert err == ("cap exceeded: enumerating geometric 1500-tuples mod 3 "
-                       "exceeded ENUMERATE_CAP=15000 entries\n")
+        for k, cap in [(1000, cli.ENUMERATE_CAP), (1500, 15_000)]:
+            monkeypatch.setattr(cli, "ENUMERATE_CAP", cap)
+            code, out, err = run(capsys, "enumerate", "--k", str(k), "--n", "3")
+            assert (code, out) == (2, "")
+            assert err == (f"cap exceeded: enumerating geometric {k}-tuples mod 3 "
+                           f"exceeded ENUMERATE_CAP={cap} entries\n")
 
-    @pytest.mark.parametrize("k", ["-1", "0", "1"])
-    def test_algebraic_with_fewer_than_two_entries_is_empty(self, capsys, k):
-        assert run(capsys, "enumerate", "--k", k, "--n", "3",
+    @pytest.mark.parametrize("k,n", [("-1", "3"), ("0", "3"), ("1", "3"), ("0", "5")],
+                             ids=["-1", "0", "1", "0-mod-5"])
+    def test_algebraic_with_fewer_than_two_entries_is_empty(self, capsys, k, n):
+        assert run(capsys, "enumerate", "--k", k, "--n", n,
                    "--level", "algebraic") == (0, "0 tuples\n", "")
 
     def test_single_triangle_mod3(self, capsys):
@@ -542,12 +546,75 @@ class TestCalculus:
         assert (code, out) == (1, "")
         assert err == f"rejected: PreconditionFailed: need n >= 2, got {n}\n"
 
+    def test_composite_cap_exit_code(self, capsys):
+        # the cap is compared with q^k = 5^3, though k = 3 builds 6 tuples mod 5
+        code, out, err = run(capsys, "composite", "--k", "3", "--n", "10",
+                             "--deltas", "10,10", "--max-cases", "10")
+        assert (code, out) == (2, "")
+        assert err == "cap exceeded: prime power 5: q^k = 125 exceeds the cap 10\n"
+
     def test_composite_json(self, capsys):
         code, out, _ = run(capsys, "composite", "--k", "3", "--n", "6",
                            "--deltas", "6,2", "--json")
         doc = json.loads(out)
         assert doc["feasible"] is True
         assert roundtrip(out.strip()) == out.strip()
+
+
+def _degrees(doc):
+    return [len(f["coeffs"]) - 1 for f in doc["factors"]]
+
+
+def _d(k, item):
+    # the gcd degree d of the group C_p^(k - d) : C_k
+    return k - len(item["group"]["deltas"])
+
+
+@pytest.mark.parametrize("argv,project,expected", [
+    # k = 32 mod 720720: 2^4 and 3^2 reach the packed-row elimination
+    (["group", "--n", "720720", "--tuple", "1,2,3,4,1,2,3,4,1,2,3,4,1,2,3,4,"
+      "2,4,6,8,2,4,6,8,2,4,6,8,2,4,6,720608", "--json"],
+     lambda d: d["group"]["deltas"], [720720] * 16 + [240240] * 2 + [30030] + [3003] * 12),
+    # k = 32 mod the prime 999983: the e = 1 gcd route on packed lanes
+    (["group", "--n", "999983", "--tuple",
+      ",".join(["1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,999863"] * 2), "--json"],
+     lambda d: d["group"]["deltas"], [999983] * 15),
+    # x^60 - 1 over F_1000003: its first gcds are 61 coefficients long
+    (["factor", "--k", "60", "--p", "1000003", "--json"],
+     _degrees, [1] * 6 + [2] * 3 + [4] * 12),
+    # three factor degrees: the degree-4 product is x^gcd(120, p^4 - 1) - 1
+    # divided by the two smaller ones
+    (["factor", "--k", "120", "--p", "1000003", "--json"],
+     _degrees, [1] * 6 + [2] * 9 + [4] * 24),
+    # p > k + 1 reads one factor and subset table per (k, p), small-d and
+    # large-d routes; p = k + 1 takes the divisor
+    (["classify-prime", "--k", "7", "--p", "11", "--json"],
+     lambda d: ([(_d(7, a), a["witness"]["entries"]) for a in d["achievable"]],
+                [(_d(7, e), e["rule"]) for e in d["excluded"]]),
+     ([(1, [12, 16, 15, 2, 4, 5, 1]), (4, [12, 15, 21, 1, 3, 2, 1])],
+      [(d, "factor-degree-subset-sum") for d in (2, 3, 5, 6)])),
+    (["classify-prime", "--k", "10", "--p", "11", "--json"],
+     lambda d: ([_d(10, a) for a in d["achievable"]], d["excluded"]),
+     (list(range(1, 10)), [])),
+    # the span's invariant factors from the oracle's annihilator counts;
+    # 72 = 2^3 * 3^2 spreads both primes over several exponents
+    (["group", "--n", "72", "--tuple", "1,5,7,59", "--verify", "--json"],
+     lambda d: (d["oracle"]["ok"], d["oracle"]["span_factors"]), (True, [72, 12, 3])),
+    # 10-byte span records; a(x) vanishes at x = 1 and two fifth roots of unity
+    (["group", "--n", "71", "--tuple", "46,65,30,1,0", "--verify", "--json"],
+     lambda d: (d["group"]["deltas"], d["group"]["order"], d["oracle"]),
+     ([71, 71], 25205, {"group_order": 25205, "span_factors": [71, 71], "ok": True})),
+    # equal residues: the shift fixes the span, (C5) : C5
+    (["verify", "--n", "5", "--tuple", "1,1,1,1,1", "--json"],
+     lambda d: (d["passed"], d["action_trivial"], d["group_order"],
+                d["translation_order"]), (True, True, 25, 5)),
+], ids=["group-720720", "group-999983", "factor-60", "factor-120",
+        "classify-prime-7-11", "classify-prime-10-11", "group-verify-72",
+        "group-verify-71", "verify-equal-residues"])
+def test_pinned_json_values(capsys, argv, project, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert project(json.loads(out)) == expected
 
 
 def test_every_subcommand_json_roundtrips(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import gcd
 
@@ -77,6 +78,13 @@ class TestValidate:
     def test_geometric_keeps_literal_entries(self):
         t = validate([13, 2, 2, 7], 12, "geometric")
         assert t.entries == (13, 2, 2, 7)
+
+    def test_tuple_has_slots_and_stays_frozen(self):
+        # a census holds about 10^5 tuples, so none carries a __dict__
+        t = validate([2, 2, 2, 4], 5, "geometric")
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.modulus = 7
 
 
 class TestScaleAssociate:
