@@ -310,7 +310,7 @@ def build_parser():
                     help="target invariant factors, comma-separated")
     sp.add_argument("--max-cases", type=_positive,
                     default=construct.DEFAULT_PRIME_POWER_CAP,
-                    help="per-prime-power enumeration cap (default %(default)s)")
+                    help="cap on q^k per prime power q of n (default %(default)s)")
     sp.set_defaults(func=cmd_composite)
 
     for sp in sub.choices.values():

@@ -103,7 +103,8 @@ def achievable_d_set(k: int, p: int) -> set:
     tuple.
 
     With p not dividing k the factor degrees are the p-cyclotomic coset
-    sizes mod k, and the orbit {0} is the factor x - 1.
+    sizes mod k, and the orbit {0} is the factor x - 1.  This is the
+    coset-degree route the tests hold the entry points' factor table to.
     """
     if not is_prime(p):
         raise ModulusNotPrime(f"{p} is not prime")
@@ -147,13 +148,14 @@ def _subset_with_degree(rest, reach, target):
 
 
 def _divisor_table(k: int, p: int):
-    # p > k+1: x - 1, the other factors of x^k - 1 and their reach table up
-    # to k - 2, the largest d - 1.  None at p = k+1, whose routes factor nothing
-    if p == k + 1:
-        return None
+    # for a prime p > k >= 3: x - 1, the other factors of x^k - 1, their reach
+    # table up to k - 2, which drops the full set (sum k - 1), and the achievable d
+    if not is_prime(p) or not p > k or k < 3:
+        raise PreconditionFailed(f"need prime p > k >= 3, got k={k}, p={p}")
     one = FpPoly(p, (p - 1, 1))
     rest = [f for f, _ in factor_xk_minus_1(k, p) if f.coeffs != one.coeffs]
-    return one, rest, _reach(rest, k - 2)
+    reach = _reach(rest, k - 2)
+    return (one, rest, reach), {1 + s for _, s in reach[0]}
 
 
 def _generic_divisor(table, d: int):
@@ -237,18 +239,17 @@ def construct_prime_case(k: int, p: int, d: int) -> PolygonTuple:
     For p > k+1 the zero-gap procedure works for every achievable d; at
     p = k+1 the divisor, small-d and large-d constructions cover the line.
     The output is re-verified through the general SNF route before being
-    returned.
+    returned.  CapExceeded, before d is checked, when k is above
+    polyfp.FACTOR_K_CAP.
     """
-    if not is_prime(p) or not p > k or k < 3:
-        raise PreconditionFailed(f"need prime p > k >= 3, got k={k}, p={p}")
-    if d not in achievable_d_set(k, p):
+    table, ach = _divisor_table(k, p)
+    if d not in ach:
         raise DNotAchievable(f"d={d} is not an achievable gcd degree for k={k}, p={p}")
-    return _construct(k, p, d, _divisor_table(k, p))
+    return _construct(k, p, d, table)
 
 
 def _construct(k: int, p: int, d: int, table) -> PolygonTuple:
-    # construct_prime_case for inputs the caller has checked: p a prime
-    # above k >= 3, d in achievable_d_set(k, p) and table = _divisor_table(k, p)
+    # construct_prime_case for an achievable d and its (k, p) table
     if p > k + 1:
         f = _witness_poly_generic(k, d, table)
     elif k % d == 0 and d < k:
@@ -295,11 +296,9 @@ class ClassificationReport:
 def classify_prime(k: int, p: int) -> ClassificationReport:
     """Every monodromy group of geometric k-tuples mod a prime p > k,
     each with a constructed witness; excluded d values cite the
-    factor-degree subset-sum rule."""
-    if not is_prime(p) or not p > k or k < 3:
-        raise PreconditionFailed(f"need prime p > k >= 3, got k={k}, p={p}")
-    ach = achievable_d_set(k, p)
-    table = _divisor_table(k, p)
+    factor-degree subset-sum rule.  CapExceeded when k is above
+    polyfp.FACTOR_K_CAP."""
+    table, ach = _divisor_table(k, p)
     achievable = []
     witnesses = {}
     excluded = []

@@ -350,14 +350,20 @@ def test_split_attempt_cap_exit_code(capsys, monkeypatch, command):
                    "over F_17 exceeded SPLIT_ATTEMPT_CAP=2 random attempts\n")
 
 
-@pytest.mark.parametrize("command,k,p", [
+@pytest.mark.parametrize("argv", [
     ("factor", "129", "139"),
     ("factor", "3000", "1000000007"),
     ("classify-prime", "129", "139"),
     ("classify-prime", "3000", "1000000007"),
-])
-def test_factor_k_cap_exit_code(capsys, command, k, p):
-    code, out, err = run(capsys, command, "--k", k, "--p", p)
+    # p = k + 1 builds the same table, and the cap is checked before d
+    ("classify-prime", "130", "131"),
+    ("classify-prime", "100000", "700001"),
+    ("construct", "130", "131", "--d", "1"),
+    ("construct", "1000002", "1000003", "--d", "3"),
+], ids="-".join)
+def test_factor_k_cap_exit_code(capsys, argv):
+    command, k, p, *d = argv
+    code, out, err = run(capsys, command, "--k", k, "--p", p, *d)
     assert (code, out) == (2, "")
     assert err == (f"cap exceeded: factoring x^{k} - 1 over F_{p} "
                    "exceeds FACTOR_K_CAP=128\n")

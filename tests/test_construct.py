@@ -225,16 +225,23 @@ def test_subset_with_degree_matches_combinations():
 
 
 def test_generic_forbidden_roots_match_cofactor_roots():
-    # slow route: the roots of (x^k - 1)/g, found by dividing and scanning F_p
+    # slow routes: the achievable d from the coset degrees, at every p > k,
+    # and the roots of (x^k - 1)/g, found by dividing and scanning F_p
+    checked = 0
     for k, p, _ in _factor_lists():
-        if p <= k + 1:
+        if p <= k or k < 3:
             continue
-        table = _divisor_table(k, p)
-        for d in achievable_d_set(k, p):
+        table, ach = _divisor_table(k, p)
+        assert ach == achievable_d_set(k, p), (k, p)
+        checked += 1
+        if p == k + 1:
+            continue
+        for d in ach:
             g, forbidden = _generic_divisor(table, d)
             assert g.degree == d, (k, p, d)
             slow = roots(divide_exact(xk_minus_1(k, p), g))
             assert forbidden == frozenset(slow), (k, p, d)
+    assert checked == 432
 
 
 # ---- the per-d witness route: every d factors x^k - 1, builds its own

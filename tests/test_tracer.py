@@ -44,3 +44,10 @@ def test_classify_prime_calls_through_the_wrapped_names(tracer):
     assert tracer.calls["polyfp.close_zero_gap"] == 7
     assert tracer.calls["monodromy.deltas_of"] == 2
     assert tracer.calls["polyfp.factor_xk_minus_1"] == 1
+
+
+def test_classify_prime_factors_once_at_p_equal_k_plus_1(tracer):
+    # p = k + 1 builds the same factor table, though its witnesses do not
+    # read it, so FACTOR_K_CAP bounds it too
+    construct.classify_prime(6, 7)
+    assert tracer.calls["polyfp.factor_xk_minus_1"] == 1
