@@ -18,10 +18,16 @@ brute-force enumeration: every element is built and inspected, and no
 matrix is reduced and no gcd of polynomials taken, so its answers stay an
 independent check.
 
-Permutations are stored as bytes when n*k <= 256 and as tuples otherwise.
-A composite a . b is one C-level call either way: ``b.translate`` through
-a's 256-entry table (built once per left factor, see ``_table``), or an
-``itemgetter`` over b's entries applied to a.
+A permutation is stored in one of three encodings, chosen once per pair
+by ``_packed_pair``; each element is still built, hashed and inspected.
+- bytes when n*k <= 256: a . b is one ``b.translate`` through a's
+  256-entry table, built once per left factor (``_table``).
+- fibre blocks when 8 <= n <= 256, k <= 256 and sigma0 and sigma1 each
+  carry every fibre {(m, i) : m in C_n} onto one fibre, as then every
+  product does: (F, B_0, ..., B_{k-1}), F[i] the fibre that fibre i goes
+  to and B_i[m] the first coordinate of the image of (m, i).  a . b is
+  k + 1 translates: b's F and each B_i through a's F and block F[i].
+- tuples otherwise: a . b is an ``itemgetter`` over b applied to a.
 """
 
 from collections import Counter
@@ -40,8 +46,8 @@ DEFAULT_SPAN_CAP = 100_000
 DEFAULT_GROUP_CAP = 1_000_000
 # A closure element stores n*k entries, so an element cap alone does not
 # bound memory: 10^6 tuples of 3000 entries are 24 GB.  Each closure keeps
-# at most this many entries (160 MB of tuple slots, a fifth of that in the
-# bytes encoding), and fewer elements than its cap when they are long.
+# at most this many entries (160 MB of tuple slots, less in bytes or fibre
+# blocks), and fewer elements than its cap when they are long.
 CLOSURE_ENTRY_BUDGET = 20_000_000
 
 # struct codes of the packed field widths that decode at C speed
@@ -92,27 +98,80 @@ def build_permutations(t: PolygonTuple) -> PermutationPair:
 
 # ---- permutation plumbing ----
 
-def _pack(perm, size):
-    return bytes(perm) if size <= 256 else tuple(perm)
+def _fibres(values, n, k):
+    """values (n*k flat entries) as fibre blocks, or None when it splits a
+    fibre, when k > 256, or unless 8 <= n <= 256: below 8 a block outweighs
+    its n 8-byte tuple slots and composes no faster."""
+    if not 8 <= n <= 256 or k > 256:
+        return None
+    heads, blocks = [], []
+    for i in range(k):
+        column = values[i::k]
+        seconds = {y % k for y in column}
+        if len(seconds) > 1:
+            return None
+        heads += seconds
+        blocks.append(bytes([y // k for y in column]))
+    return (bytes(heads), *blocks)
+
+
+def _packed_pair(pp):
+    """sigma0 and sigma1 in the oracle's encoding, and n*k."""
+    n, k = pp.n, pp.k
+    if n * k <= 256:
+        return bytes(pp.sigma0), bytes(pp.sigma1), n * k
+    pair = [_fibres(s, n, k) for s in (pp.sigma0, pp.sigma1)]
+    if None in pair:
+        pair = tuple(pp.sigma0), tuple(pp.sigma1)
+    return (*pair, n * k)
+
+
+def _fibred(a):
+    return type(a) is tuple and type(a[0]) is bytes
 
 
 def _like(a, values):
-    """values in the encoding of the permutation a."""
+    """values (n*k flat entries) in the encoding of the permutation a."""
+    if _fibred(a):
+        return _fibres(values, len(values) // (len(a) - 1), len(a) - 1)
     return bytes(values) if isinstance(a, bytes) else tuple(values)
+
+
+def _identity(a):
+    if _fibred(a):
+        return tuple(map(_identity, a))
+    return _like(a, range(len(a)))
 
 
 def _table(a):
     """a, prepared once as the left factor of many composites.
 
-    A bytes permutation becomes its 256-entry ``translate`` table; a tuple
-    is its own table.
+    A bytes permutation becomes its 256-entry ``translate`` table, and so
+    does each bytes of a fibre element; a tuple is its own table.
     """
+    if _fibred(a):
+        return tuple(map(_table, a))
     return a + bytes(256 - len(a)) if isinstance(a, bytes) else a
 
 
 def _right(b):
     """b as the right factor: ``_right(b)(_table(a))`` is a . b."""
-    return b.translate if isinstance(b, bytes) else itemgetter(*b)
+    if isinstance(b, bytes):
+        return b.translate
+    if not _fibred(b):
+        return itemgetter(*b)
+    # (m, i) goes by b to (B_i[m], F[i]), then by a's block F[i]
+    head, blocks = b[0], b[1:]
+    pick = itemgetter(*[1 + f for f in head])
+    return lambda a: (head.translate(a[0]),
+                      *map(bytes.translate, blocks, pick(a)))
+
+
+def _vector(h, k):
+    """The first coordinates of h(0, i), i < k: h's translation vector."""
+    if _fibred(h):
+        return tuple([b[0] for b in h[1:]])
+    return tuple([y // k for y in h[:k]])
 
 
 def _mul(a, b):
@@ -121,6 +180,10 @@ def _mul(a, b):
 
 
 def _inverse(a):
+    if _fibred(a):
+        # block i of a, inverted, is block F[i] of the inverse
+        back = _inverse(a[0])
+        return (back, *[_inverse(a[1 + i]) for i in back])
     out = [0] * len(a)
     for x, y in enumerate(a):
         out[y] = x
@@ -128,7 +191,7 @@ def _inverse(a):
 
 
 def _power(a, e):
-    out = _like(a, range(len(a)))
+    out = _identity(a)
     table = _table(a)
     for _ in range(e):
         out = _right(out)(table)
@@ -143,7 +206,7 @@ def _closure(generators, size, cap, name="group"):
     that CLOSURE_ENTRY_BUDGET holds, and the message then names the budget.
     """
     limit = min(cap, CLOSURE_ENTRY_BUDGET // size)
-    seen = {_like(generators[0], range(size))}
+    seen = {_identity(generators[0])}
     frontier = list(seen)
     tables = [_table(g) for g in generators]
     packed = isinstance(generators[0], bytes)
@@ -151,7 +214,7 @@ def _closure(generators, size, cap, name="group"):
         nxt = []
         for g in frontier:
             # each new element gen . g, with g as the right factor
-            times_g = g.translate if packed else itemgetter(*g)
+            times_g = g.translate if packed else _right(g)
             for table in tables:
                 h = times_g(table)
                 # one hash per product: a tuple does not cache its hash
@@ -169,11 +232,6 @@ def _closure(generators, size, cap, name="group"):
                     nxt.append(h)
         frontier = nxt
     return seen
-
-
-def _packed_pair(pp):
-    size = pp.n * pp.k
-    return _pack(pp.sigma0, size), _pack(pp.sigma1, size), size
 
 
 def check_group_cap(t: PolygonTuple, cap: int = DEFAULT_GROUP_CAP) -> None:
@@ -406,7 +464,7 @@ def check_structure(t: PolygonTuple,
     pp = build_permutations(t)
     n, k = pp.n, pp.k
     s0, s1, size = _packed_pair(pp)
-    ident = _like(s0, range(size))
+    ident = _identity(s0)
 
     G = _closure([s0, s1], size, group_cap)
 
@@ -434,8 +492,10 @@ def check_structure(t: PolygonTuple,
     s0_table, s1_table = _table(s0), _table(s1)
     times_s0_inv, times_s1_inv = _right(s0_inv), _right(s1_inv)
     times_rot = [_right(r) for r in rot_powers]
-    # column i of the identity, twice over: its rotation by v is [v:v+n]
-    columns = [ident[i::k] * 2 for i in range(k)]
+    # h is a translation iff it fixes every second coordinate and commutes
+    # with shift: (m, i) -> (m + 1, i)
+    shift = _like(s0, [(x + k) % size for x in range(size)])
+    shift_table, times_shift = _table(shift), _right(shift)
     normal_ok = translations_ok = shift_ok = action_trivial = True
     product = set()
     for h in N:
@@ -446,15 +506,13 @@ def check_structure(t: PolygonTuple,
             normal_ok = (conj_in_n and
                          _right(times_s1_inv(h_table))(s1_table) in N)
         product.update([times(h_table) for times in times_rot])
-        # h translates by v iff each column of h is the identity's column
-        # rotated by v_i
-        v = tuple([y // k for y in h[:k]])
-        if translations_ok and any(h[i::k] != columns[i][v[i]:v[i] + n]
-                                   for i in range(k)):
+        if translations_ok and (h not in stabilizer or times_shift(h_table)
+                                != _right(h)(shift_table)):
             translations_ok = False
         if shift_ok:
+            v = _vector(h, k)
             rotated = v[-1:] + v[:-1]
-            if not conj_in_n or tuple([y // k for y in conj[:k]]) != rotated:
+            if not conj_in_n or _vector(conj, k) != rotated:
                 shift_ok = False
             elif rotated != v:
                 action_trivial = False

@@ -25,9 +25,10 @@ from billiard_monodromy.numtheory import divisors
 from billiard_monodromy.polygon import PolygonTuple, enumerate_geometric
 from billiard_monodromy.oracle import (
     _closure,
+    _fibred,
+    _identity,
     _inverse,
     _mul,
-    _pack,
     _packed_pair,
     _power,
     span_shift_is_trivial,
@@ -69,11 +70,9 @@ class TestBuildPermutations:
         rng = random.Random(61)
         for _ in range(50):
             t = random_algebraic(rng, k_lo=2, k_hi=6, n_lo=2, n_hi=12)
-            pp = build_permutations(t)
-            size = t.modulus * t.k
-            s0, s1, _ = _packed_pair(pp)
-            assert _power(s0, t.k) == _pack(range(size), size)
-            assert _power(s1, t.k) == _pack(range(size), size)
+            s0, s1, _ = _packed_pair(build_permutations(t))
+            assert _power(s0, t.k) == _identity(s0)
+            assert _power(s1, t.k) == _identity(s0)
 
     def test_pair_power_closed_form(self):
         # sigma0^x sigma1^x sends (m, i) to (m - sum_{j=i-x}^{i-1} a_j, i)
@@ -589,100 +588,216 @@ class TestBrokenPairs:
         assert {row[0] for row in BROKEN_REPORTS} == set(MUTATIONS)
 
 
-# ---- the bytes and tuple encodings ----
+# ---- the bytes, fibre and tuple encodings ----
 
-def _both_encodings(t):
-    pp = build_permutations(t)
-    return ((bytes(pp.sigma0), bytes(pp.sigma1)),
-            (tuple(pp.sigma0), tuple(pp.sigma1)))
-
-
-class TestEncodings:
-    """Small tuples run through the tuple encoding too, and must agree."""
-
-    def test_closures_and_composites_agree(self):
-        rng = random.Random(89)
-        for _ in range(30):
-            t = random_algebraic(rng, k_lo=2, k_hi=5, n_lo=2, n_hi=12)
-            size = t.modulus * t.k
-            if t.k * prod(deltas_of(t)) > 3000:
-                continue
-            packed, plain = _both_encodings(t)
-            G = _closure(list(packed), size, 10**6)
-            assert all(isinstance(g, bytes) for g in G)
-            G_plain = _closure(list(plain), size, 10**6)
-            assert all(isinstance(g, tuple) for g in G_plain)
-            assert {tuple(g) for g in G} == G_plain
-            sample = rng.sample(sorted(G), min(len(G), 12))
-            for a in sample:
-                assert tuple(_inverse(a)) == _inverse(tuple(a))
-                for b in sample:
-                    assert tuple(_mul(a, b)) == _mul(tuple(a), tuple(b))
-
-    def test_caps_agree(self):
-        packed, plain = _both_encodings(validate([2, 2, 2, 4], 5))
-        for gens in (packed, plain):
-            with pytest.raises(CapExceeded) as exc:
-                _closure(list(gens), 20, 99, "span")
-            assert str(exc.value) == "span closure exceeded cap 99"
-            assert exc.value.partial == 99
-
-    def test_entry_budget_lowers_the_cap(self, monkeypatch):
-        # 20 entries per element: a budget of 20 * 99 entries admits 99
-        monkeypatch.setattr(oracle, "CLOSURE_ENTRY_BUDGET", 20 * 99 + 19)
-        packed, plain = _both_encodings(validate([2, 2, 2, 4], 5))
-        for gens in (packed, plain):
-            with pytest.raises(CapExceeded) as exc:
-                _closure(list(gens), 20, 10**6, "span")
-            assert str(exc.value) == (
-                "span closure exceeded CLOSURE_ENTRY_BUDGET=1999 stored "
-                "permutation entries (99 elements of 20 entries)")
-            assert exc.value.partial == 99
-            # a cap under the budget keeps its own message
-            with pytest.raises(CapExceeded) as exc:
-                _closure(list(gens), 20, 50, "span")
-            assert str(exc.value) == "span closure exceeded cap 50"
-            assert exc.value.partial == 50
-        # |G| = 500 fits a budget of exactly 500 elements
-        monkeypatch.setattr(oracle, "CLOSURE_ENTRY_BUDGET", 20 * 500)
-        for gens in (packed, plain):
-            assert len(_closure(list(gens), 20, 10**6)) == 500
-
-    @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
-    def test_reports_agree(self, monkeypatch, mutation):
-        # the stabilizer, product, translation and conjugation clauses
-        # all read the same on either encoding
-        if mutation:
-            _break(monkeypatch, mutation)
-        rng = random.Random(97)
-        tuples = [random_algebraic(rng, k_lo=2, k_hi=4, n_lo=2, n_hi=4)
-                  for _ in range(12)]
-
-        def outcomes():
-            out = []
-            for t in tuples:
-                try:
-                    out.append(check_structure(t, group_cap=20_000))
-                except CapExceeded as e:
-                    out.append((str(e), e.partial))
-            return out
-
-        packed = outcomes()
-        monkeypatch.setattr(oracle, "_pack", lambda perm, size: tuple(perm))
-        assert outcomes() == packed
-
-
-@pytest.mark.parametrize("entries,n", [
+# n*k > 256 with n <= 256: the oracle stores per-fibre blocks; the closed
+# forms (and the SNF route for k = 17) say what it must find
+ABOVE_THRESHOLD = [
     ([26, 27, 33], 86),
     ([53, 59, 60], 86),
     ([4, 61, 4, 61], 65),
     ([57, 51, 8, 14], 65),
     ([53, 13, 53, 13], 66),
     ([1] * 17, 17),
+]
+
+# the mutations that send one fibre into two, so their pairs stay tuples
+FIBRE_SPLITTING = {"swap_s1", "s0_transposition"}
+
+
+def _tuple_pair(pp):
+    return tuple(pp.sigma0), tuple(pp.sigma1), pp.n * pp.k
+
+
+def _force_tuples(monkeypatch):
+    monkeypatch.setattr(oracle, "_packed_pair", _tuple_pair)
+
+
+def _decode(a, n, k):
+    """a, in any encoding, as the tuple of the images of the n*k edges."""
+    if _fibred(a):
+        return tuple([a[1 + i][m] * k + a[0][i]
+                      for m in range(n) for i in range(k)])
+    return tuple(a)
+
+
+def _both_encodings(t):
+    """The pair in the oracle's own encoding, and forced to tuples."""
+    pp = build_permutations(t)
+    return _packed_pair(pp)[:2], _tuple_pair(pp)[:2]
+
+
+def _one_root_short(rng, k):
+    """A tuple with n*k > 256, n <= 256 and |N| = n: the coefficients of
+    c * prod (x - z^j) over the k-th roots of unity z^j mod a prime n, all
+    but one z^j != 1, so the span is one eigenline of the rotation."""
+    n = rng.choice([p for p in range(256 // k + 1, 257)
+                    if p % k == 1 and all(p % d for d in range(2, p))])
+    z = next(z for z in (pow(g, (n - 1) // k, n) for g in range(2, n))
+             if all(pow(z, d, n) != 1 for d in range(1, k)))
+    skip = rng.randrange(1, k)
+    coeffs = [rng.randrange(1, n)]
+    for j in range(k):
+        if j != skip:
+            root = pow(z, j, n)
+            coeffs = [(hi - root * lo) % n
+                      for hi, lo in zip([0] + coeffs, coeffs + [0])]
+    return validate(coeffs, n)
+
+
+def _large_tuples(seed):
+    """Seeded tuples above the bytes threshold: two for each k = 2..5
+    (|G| = k*n <= 1280), and the ABOVE_THRESHOLD rows."""
+    rng = random.Random(seed)
+    return ([_one_root_short(rng, k) for k in range(2, 6) for _ in range(2)]
+            + [validate(entries, n) for entries, n in ABOVE_THRESHOLD])
+
+
+class TestEncodings:
+    """Every pair runs in the oracle's own encoding (bytes at n*k <= 256,
+    per-fibre blocks above) and forced to tuples, and the two must agree."""
+
+    def test_closures_and_composites_agree(self):
+        rng = random.Random(89)
+        small = [random_algebraic(rng, k_lo=2, k_hi=5, n_lo=2, n_hi=12)
+                 for _ in range(30)]
+        small = [t for t in small if t.k * prod(deltas_of(t)) <= 3000]
+        for t in small + _large_tuples(89):
+            n, k = t.modulus, t.k
+            packed, plain = _both_encodings(t)
+            G = _closure(list(packed), n * k, 10**6)
+            assert all(isinstance(g, bytes) == (n * k <= 256) for g in G)
+            assert all(_fibred(g) == (n * k > 256) for g in G)
+            G_plain = _closure(list(plain), n * k, 10**6)
+            assert all(isinstance(g[0], int) for g in G_plain)
+            assert {_decode(g, n, k) for g in G} == G_plain
+            sample = rng.sample(sorted(G), min(len(G), 12))
+            for a in sample:
+                a_plain = _decode(a, n, k)
+                assert _decode(_inverse(a), n, k) == _inverse(a_plain)
+                for b in sample:
+                    assert (_decode(_mul(a, b), n, k)
+                            == _mul(a_plain, _decode(b, n, k)))
+
+    # (entries, n, |G|): one pair of bytes, one of fibre blocks
+    CAPPED = [([2, 2, 2, 4], 5, 500), ([4, 61, 4, 61], 65, 260)]
+
+    def test_caps_agree(self):
+        for entries, n, _ in self.CAPPED:
+            packed, plain = _both_encodings(validate(entries, n))
+            for gens in (packed, plain):
+                with pytest.raises(CapExceeded) as exc:
+                    _closure(list(gens), n * len(entries), 99, "span")
+                assert str(exc.value) == "span closure exceeded cap 99"
+                assert exc.value.partial == 99
+
+    def test_entry_budget_lowers_the_cap(self, monkeypatch):
+        for entries, n, order in self.CAPPED:
+            size = n * len(entries)
+            # a budget of 99 elements and less than one more admits 99
+            budget = size * 100 - 1
+            monkeypatch.setattr(oracle, "CLOSURE_ENTRY_BUDGET", budget)
+            packed, plain = _both_encodings(validate(entries, n))
+            for gens in (packed, plain):
+                with pytest.raises(CapExceeded) as exc:
+                    _closure(list(gens), size, 10**6, "span")
+                assert str(exc.value) == (
+                    f"span closure exceeded CLOSURE_ENTRY_BUDGET={budget} "
+                    f"stored permutation entries (99 elements of {size} "
+                    "entries)")
+                assert exc.value.partial == 99
+                # a cap under the budget keeps its own message
+                with pytest.raises(CapExceeded) as exc:
+                    _closure(list(gens), size, 50, "span")
+                assert str(exc.value) == "span closure exceeded cap 50"
+                assert exc.value.partial == 50
+            # |G| fits a budget of exactly |G| elements
+            monkeypatch.setattr(oracle, "CLOSURE_ENTRY_BUDGET", size * order)
+            for gens in (packed, plain):
+                assert len(_closure(list(gens), size, 10**6)) == order
+
+    @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+    def test_reports_agree(self, monkeypatch, mutation):
+        # the stabilizer, product, translation and conjugation clauses,
+        # |G| and the span and group caps all read the same on either
+        # encoding (test_broken_pairs_above_the_threshold breaks the
+        # fibre-block pairs)
+        if mutation:
+            _break(monkeypatch, mutation)
+        rng = random.Random(97)
+        tuples = [random_algebraic(rng, k_lo=2, k_hi=4, n_lo=2, n_hi=4)
+                  for _ in range(12)]
+        if mutation is None:
+            tuples += _large_tuples(97)
+        own = _outcomes(tuples)
+        _force_tuples(monkeypatch)
+        assert _outcomes(tuples) == own
+
+    def test_budget_messages_agree(self, monkeypatch):
+        # 200 elements of 289 entries: the budget stops the larger closures
+        monkeypatch.setattr(oracle, "CLOSURE_ENTRY_BUDGET", 200 * 289)
+        tuples = _large_tuples(97)
+        own = _outcomes(tuples)
+        assert any("CLOSURE_ENTRY_BUDGET" in str(o) for o in own)
+        _force_tuples(monkeypatch)
+        assert _outcomes(tuples) == own
+
+
+def _outcomes(tuples, caps=({"group_cap": 20_000},
+                            {"group_cap": 20_000, "span_cap": 10},
+                            {"group_cap": 50})):
+    """check_structure's report under each of ``caps`` and group_order,
+    for each tuple, or the CapExceeded message and partial count."""
+    out = []
+    for t in tuples:
+        calls = [lambda c=c: check_structure(t, **c) for c in caps]
+        calls.append(lambda: group_order(oracle.build_permutations(t), 20_000))
+        for call in calls:
+            try:
+                out.append(call())
+            except CapExceeded as e:
+                out.append((str(e), e.partial))
+    return out
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_broken_pairs_above_the_threshold(monkeypatch, mutation):
+    # fibre-keeping mutations read the clauses off fibre blocks; the two
+    # that split a fibre fall back to tuples, and both match forced tuples
+    _break(monkeypatch, mutation)
+    tuples = [validate(entries, n) for entries, n in ABOVE_THRESHOLD[2:]]
+    for t in tuples:
+        packed, _, _ = _packed_pair(oracle.build_permutations(t))
+        assert _fibred(packed) == (mutation not in FIBRE_SPLITTING)
+    own = _outcomes(tuples, caps=({"group_cap": 20_000},))
+    # swap_s1 makes a group past the cap from every row
+    assert (any(isinstance(o, oracle.StructureReport) for o in own)
+            or mutation == "swap_s1")
+    _force_tuples(monkeypatch)
+    assert _outcomes(tuples, caps=({"group_cap": 20_000},)) == own
+
+
+@pytest.mark.parametrize("entries,n,fibred", [
+    ([1, 254], 255, True),
+    ([1, 255], 256, True),
+    ([1, 256], 257, False),     # n > 256
+    ([1] * 40, 8, True),
+    ([1] * 42, 7, False),       # n < 8
+    ([1] * 300, 2, False),      # k > 256
 ])
+def test_encoding_boundaries(entries, n, fibred):
+    t = validate(entries, n)
+    s0, s1, _ = _packed_pair(build_permutations(t))
+    assert _fibred(s0) == _fibred(s1) == fibred
+    order = group_of(t).order
+    assert group_order(build_permutations(t)) == order
+    rep = check_structure(t)
+    assert rep.passed
+    assert (rep.group_order, rep.translation_order) == (order, order // t.k)
+
+
+@pytest.mark.parametrize("entries,n", ABOVE_THRESHOLD)
 def test_check_structure_above_bytes_threshold(entries, n):
-    # n*k > 256: the oracle composes tuples; the closed forms (and the SNF
-    # route for k = 17) say what it must find
     k = len(entries)
     assert n * k > 256
     if k == 3:
