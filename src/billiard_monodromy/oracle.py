@@ -20,13 +20,18 @@ independent check.
 
 A permutation is stored in one of three encodings, chosen once per pair
 by ``_packed_pair``; each element is still built, hashed and inspected.
+a . b is ``_compose(_table(a), b)``, a prepared once per left factor.
 - bytes when n*k <= 256: a . b is one ``b.translate`` through a's
-  256-entry table, built once per left factor (``_table``).
+  256-entry table.
 - fibre blocks when 8 <= n <= 256, k <= 256 and sigma0 and sigma1 each
   carry every fibre {(m, i) : m in C_n} onto one fibre, as then every
   product does: (F, B_0, ..., B_{k-1}), F[i] the fibre that fibre i goes
   to and B_i[m] the first coordinate of the image of (m, i).  a . b is
-  k + 1 translates: b's F and each B_i through a's F and block F[i].
+  k + 1 translates: b's F and each B_i through a's F and block F[i], a's
+  blocks picked once per head F.  When a's blocks are all the identity,
+  as in sigma0's powers, a . b keeps b's blocks.  g fixes every second
+  coordinate iff its F is the identity, and commutes with (m, i) ->
+  (m + 1, i) iff each of its blocks turns C_n.
 - tuples otherwise: a . b is an ``itemgetter`` over b applied to a.
 """
 
@@ -52,6 +57,8 @@ CLOSURE_ENTRY_BUDGET = 20_000_000
 
 # struct codes of the packed field widths that decode at C speed
 _STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# its first n bytes are the identity block of C_n
+_BYTE_RANGE = bytes(range(256))
 
 
 class EdgeLabel(NamedTuple):
@@ -139,32 +146,49 @@ def _like(a, values):
 
 def _identity(a):
     if _fibred(a):
-        return tuple(map(_identity, a))
+        return tuple([_identity(x) for x in a])
     return _like(a, range(len(a)))
+
+
+class _FibreTable(dict):
+    """A fibre element a as a left factor: the tables of its F and blocks,
+    whether every block is the identity, and, built on first use, under
+    each head F of a right factor those of a's F and blocks F[0], F[1]..."""
+
+    __slots__ = ("tables", "shared")
+
+    def __init__(self, a):
+        self.tables = [_table(x) for x in a]
+        self.shared = all(map(_BYTE_RANGE.startswith, a[1:]))
+
+    def __missing__(self, head):
+        tables = self.tables
+        picked = self[head] = [tables[0], *[tables[1 + f] for f in head]]
+        return picked
 
 
 def _table(a):
     """a, prepared once as the left factor of many composites.
 
     A bytes permutation becomes its 256-entry ``translate`` table, and so
-    does each bytes of a fibre element; a tuple is its own table.
+    does each bytes of a fibre element (``_FibreTable``); a tuple is its
+    own table.
     """
-    if _fibred(a):
-        return tuple(map(_table, a))
-    return a + bytes(256 - len(a)) if isinstance(a, bytes) else a
+    if type(a) is bytes:
+        return a + bytes(256 - len(a))
+    return _FibreTable(a) if _fibred(a) else a
 
 
-def _right(b):
-    """b as the right factor: ``_right(b)(_table(a))`` is a . b."""
-    if isinstance(b, bytes):
-        return b.translate
-    if not _fibred(b):
-        return itemgetter(*b)
+def _compose(t, b):
+    """a . b, where t = _table(a): apply b first, then a."""
+    if type(b) is bytes:
+        return b.translate(t)
+    if type(t) is tuple:
+        return itemgetter(*b)(t)
+    if t.shared:
+        return (b[0].translate(t.tables[0]),) + b[1:]
     # (m, i) goes by b to (B_i[m], F[i]), then by a's block F[i]
-    head, blocks = b[0], b[1:]
-    pick = itemgetter(*[1 + f for f in head])
-    return lambda a: (head.translate(a[0]),
-                      *map(bytes.translate, blocks, pick(a)))
+    return (*map(bytes.translate, b, t[b[0]]),)
 
 
 def _vector(h, k):
@@ -174,9 +198,27 @@ def _vector(h, k):
     return tuple([y // k for y in h[:k]])
 
 
+def _fixes_seconds(g, coord, coord_table):
+    """Whether g fixes every second coordinate: coord . g == coord, where
+    coord[x] = x mod k; on fibre blocks, whether g's F is coord's, the
+    identity."""
+    if _fibred(g):
+        return g[0] == coord[0]
+    return _compose(coord_table, g) == coord
+
+
+def _commutes_with_shift(h, h_table, shift, shift_table, wheel):
+    """Whether h commutes with shift: (m, i) -> (m + 1, i).  On fibre
+    blocks, whether each B_i is wheel[B_i[0]:B_i[0] + n], wheel = C_n * 2."""
+    if _fibred(h):
+        n = len(h[1])
+        return all(b == wheel[b[0]:b[0] + n] for b in h[1:])
+    return _compose(h_table, shift) == _compose(shift_table, h)
+
+
 def _mul(a, b):
     """The composite a . b: apply b first, then a."""
-    return _right(b)(_table(a))
+    return _compose(_table(a), b)
 
 
 def _inverse(a):
@@ -190,11 +232,12 @@ def _inverse(a):
     return _like(a, out)
 
 
-def _power(a, e):
-    out = _identity(a)
+def _powers(a, e):
+    """[a^0, ..., a^(e-1)], each the one before times a."""
+    out = [_identity(a)]
     table = _table(a)
-    for _ in range(e):
-        out = _right(out)(table)
+    for _ in range(1, e):
+        out.append(_compose(table, out[-1]))
     return out
 
 
@@ -209,14 +252,11 @@ def _closure(generators, size, cap, name="group"):
     seen = {_identity(generators[0])}
     frontier = list(seen)
     tables = [_table(g) for g in generators]
-    packed = isinstance(generators[0], bytes)
     while frontier:
         nxt = []
         for g in frontier:
-            # each new element gen . g, with g as the right factor
-            times_g = g.translate if packed else _right(g)
             for table in tables:
-                h = times_g(table)
+                h = _compose(table, g)
                 # one hash per product: a tuple does not cache its hash
                 count = len(seen)
                 seen.add(h)
@@ -468,7 +508,8 @@ def check_structure(t: PolygonTuple,
 
     G = _closure([s0, s1], size, group_cap)
 
-    pair_gens = [_mul(_power(s0, x), _power(s1, x)) for x in range(1, k)]
+    rot_powers, s1_powers = _powers(s0, k), _powers(s1, k)
+    pair_gens = [_mul(a, b) for a, b in zip(rot_powers[1:], s1_powers[1:])]
     commute = all(_mul(a, b) == _mul(b, a)
                   for i, a in enumerate(pair_gens)
                   for b in pair_gens[i + 1:])
@@ -480,35 +521,33 @@ def check_structure(t: PolygonTuple,
     # coord[x] = x mod k
     coord = _like(s0, [x % k for x in range(size)])
     coord_table = _table(coord)
-    stabilizer = {g for g in G if _right(g)(coord_table) == coord}
+    stabilizer = {g for g in G if _fixes_seconds(g, coord, coord_table)}
     fixed_subgroup_ok = stabilizer == N
 
     s0_inv, s1_inv = _inverse(s0), _inverse(s1)
-    rot_powers = [_power(s0, j) for j in range(k)]
     intersection_ok = all(r not in N for r in rot_powers[1:])
 
     # One pass over N checks normality, the product, the translations and
     # the conjugation action, with each h prepared as a left factor once.
     s0_table, s1_table = _table(s0), _table(s1)
-    times_s0_inv, times_s1_inv = _right(s0_inv), _right(s1_inv)
-    times_rot = [_right(r) for r in rot_powers]
     # h is a translation iff it fixes every second coordinate and commutes
     # with shift: (m, i) -> (m + 1, i)
     shift = _like(s0, [(x + k) % size for x in range(size)])
-    shift_table, times_shift = _table(shift), _right(shift)
+    # wheel is read on fibre blocks only, where n <= 256
+    shift_table, wheel = _table(shift), _BYTE_RANGE[:n] * 2
     normal_ok = translations_ok = shift_ok = action_trivial = True
     product = set()
     for h in N:
         h_table = _table(h)
-        conj = _right(times_s0_inv(h_table))(s0_table)     # s0 h s0^-1
+        conj = _compose(s0_table, _compose(h_table, s0_inv))   # s0 h s0^-1
         conj_in_n = conj in N
         if normal_ok:
             normal_ok = (conj_in_n and
-                         _right(times_s1_inv(h_table))(s1_table) in N)
-        product.update([times(h_table) for times in times_rot])
-        if translations_ok and (h not in stabilizer or times_shift(h_table)
-                                != _right(h)(shift_table)):
-            translations_ok = False
+                         _compose(s1_table, _compose(h_table, s1_inv)) in N)
+        product.update([_compose(h_table, r) for r in rot_powers])
+        if translations_ok:
+            translations_ok = h in stabilizer and _commutes_with_shift(
+                h, h_table, shift, shift_table, wheel)
         if shift_ok:
             v = _vector(h, k)
             rotated = v[-1:] + v[:-1]

@@ -1,3 +1,4 @@
+import operator
 import random
 import struct
 from collections import Counter
@@ -25,12 +26,17 @@ from billiard_monodromy.numtheory import divisors
 from billiard_monodromy.polygon import PolygonTuple, enumerate_geometric
 from billiard_monodromy.oracle import (
     _closure,
+    _commutes_with_shift,
+    _compose,
     _fibred,
+    _fixes_seconds,
     _identity,
     _inverse,
+    _like,
     _mul,
     _packed_pair,
-    _power,
+    _powers,
+    _table,
     span_shift_is_trivial,
     PermutationPair,
     edge_index,
@@ -41,6 +47,15 @@ from conftest import random_algebraic
 
 def edge(m, i, k):
     return edge_index(EdgeLabel(m, i), k)
+
+
+def _power(a, e):
+    """a^e built from the identity, one composite at a time: the reference
+    for check_structure's running products (``_powers``)."""
+    out = _identity(a)
+    for _ in range(e):
+        out = _mul(a, out)
+    return out
 
 
 def test_edge_labels_biject():
@@ -73,6 +88,8 @@ class TestBuildPermutations:
             s0, s1, _ = _packed_pair(build_permutations(t))
             assert _power(s0, t.k) == _identity(s0)
             assert _power(s1, t.k) == _identity(s0)
+            for s in (s0, s1):
+                assert _powers(s, t.k) == [_power(s, j) for j in range(t.k)]
 
     def test_pair_power_closed_form(self):
         # sigma0^x sigma1^x sends (m, i) to (m - sum_{j=i-x}^{i-1} a_j, i)
@@ -672,12 +689,26 @@ class TestEncodings:
             assert all(isinstance(g[0], int) for g in G_plain)
             assert {_decode(g, n, k) for g in G} == G_plain
             sample = rng.sample(sorted(G), min(len(G), 12))
-            for a in sample:
+            rot_powers = _powers(packed[0], k)
+            # every block of a power of sigma0 is the identity; the sample
+            # runs twice, so each table meets every head again
+            for a in sample + rot_powers:
                 a_plain = _decode(a, n, k)
                 assert _decode(_inverse(a), n, k) == _inverse(a_plain)
-                for b in sample:
-                    assert (_decode(_mul(a, b), n, k)
-                            == _mul(a_plain, _decode(b, n, k)))
+                table, plain_table = _table(a), _table(a_plain)
+                for b in sample + sample:
+                    b_plain = _decode(b, n, k)
+                    want = tuple([a_plain[y] for y in b_plain])
+                    ab = _compose(table, b)
+                    assert _decode(ab, n, k) == want
+                    assert _compose(plain_table, b_plain) == want
+                    if _fibred(a) and table.shared:
+                        assert all(map(operator.is_, ab[1:], b[1:]))
+                if _fibred(a):
+                    # one pick of a's blocks per head of a right factor
+                    assert table.shared == (a in rot_powers)
+                    assert set(table) == (set() if table.shared
+                                          else {b[0] for b in sample})
 
     # (entries, n, |G|): one pair of bytes, one of fibre blocks
     CAPPED = [([2, 2, 2, 4], 5, 500), ([4, 61, 4, 61], 65, 260)]
@@ -732,6 +763,47 @@ class TestEncodings:
         own = _outcomes(tuples)
         _force_tuples(monkeypatch)
         assert _outcomes(tuples) == own
+
+    @pytest.mark.parametrize(
+        "mutation", [None, *sorted(set(MUTATIONS) - FIBRE_SPLITTING)])
+    def test_clause_reads_match_composites(self, mutation):
+        # on fibre blocks, "g fixes every second coordinate" is read off F
+        # and "g commutes with the shift" off the blocks; both must say what
+        # the coord and shift composites say, on G and on x . G, where x
+        # negates both coordinates (a head that fixes fibre 0 but is not
+        # the identity) or swaps first coordinates n - 2 and n - 1 in fibre
+        # k - 1 (a last block that turns C_n only in part)
+        seen = set()
+        for entries, n in ABOVE_THRESHOLD:
+            k, size = len(entries), n * len(entries)
+            pp = build_permutations(validate(entries, n))
+            if mutation:
+                pp = PermutationPair(n, k, *MUTATIONS[mutation](pp))
+            s0, s1, _ = _packed_pair(pp)
+            assert _fibred(s0) and _fibred(s1)
+            coord = _like(s0, [x % k for x in range(size)])
+            shift = _like(s0, [(x + k) % size for x in range(size)])
+            swap = {n - 2: n - 1, n - 1: n - 2}
+            extras = [_like(s0, [(-(x // k) % n) * k + (-x % k)
+                                 for x in range(size)]),
+                      _like(s0, [x if x % k < k - 1 else
+                                 swap.get(x // k, x // k) * k + x % k
+                                 for x in range(size)])]
+            extras = [_table(x) for x in extras]
+            coord_table, shift_table = _table(coord), _table(shift)
+            wheel = bytes(range(n)) * 2
+            for g in _closure([s0, s1], size, 20_000):
+                for h in [g, *[_compose(x, g) for x in extras]]:
+                    h_table = _table(h)
+                    fixes = _compose(coord_table, h) == coord
+                    commutes = (_compose(h_table, shift)
+                                == _compose(shift_table, h))
+                    assert _fixes_seconds(h, coord, coord_table) == fixes
+                    assert _commutes_with_shift(
+                        h, h_table, shift, shift_table, wheel) == commutes
+                    seen.add((fixes, commutes))
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
 
     def test_budget_messages_agree(self, monkeypatch):
         # 200 elements of 289 entries: the budget stops the larger closures
