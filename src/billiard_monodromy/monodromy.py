@@ -8,19 +8,23 @@ delta_i = n / gcd(d_i, n) gives N as the direct sum of C_{delta_i}; dropped
 trivial factors leave the canonical descending divisibility chain that
 descriptors compare by.
 
-``deltas_of`` settles the gcds one prime power p^e of n at a time.  Two
-routes read the p-part off a single polynomial gcd over F_p; the prime
-powers neither route settles go to one modular elimination of the
-circulant, which is also the reference the tests hold the gcd routes to.
+``deltas_of`` settles the gcds one prime power p^e of n at a time.  At
+e = 1 the p-part is read off one polynomial gcd over F_p.  At e >= 2 the
+ring splits along the factors Phi_d(x^(p^s)) of x^k - 1, k = p^s m with p
+not dividing m and d | m; gcds over F_p find the blocks where a(x) is a
+unit, and only the other blocks are eliminated mod p^e, each from a's
+multiplication matrix of rank phi(d) p^s.  The modular elimination of the
+whole circulant stays the reference the tests hold every route to.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, prod
 from typing import Optional
 
 from . import oracle
 from .errors import PreconditionFailed
-from .exactla import circulant, invariant_factors_mod
+from .exactla import invariant_factors_mod
 from .numtheory import prime_factorization
 from .polyfp import _gcd_coeffs, _trim, xk_minus_1
 from .polygon import PolygonTuple, validate
@@ -64,21 +68,66 @@ def _canonical_deltas(raw) -> tuple:
     return out
 
 
-def _local_by_gcd(t: PolygonTuple, p: int, e: int):
-    """gcd(d_i, p^e) for the circulant's SNF divisors d_i, ascending like
-    ``exactla._local_divisors``, or None when no gcd over F_p settles them.
+@cache
+def _cyclotomic(d: int) -> tuple:
+    """Integer coefficients of Phi_d, lowest first: x^d - 1 divided exactly
+    by Phi_j for each proper divisor j of d, in place (each Phi_j is monic).
     """
-    k = t.k
-    # from a list, not a generator: see PolygonTuple.residues
-    a = _trim(tuple([x % p for x in t.entries]))
+    q = [-1] + [0] * (d - 1) + [1]
+    for j in range(1, d):
+        if d % j == 0:
+            f = _cyclotomic(j)
+            r = len(f) - 1
+            for i in range(len(q) - 1, r - 1, -1):
+                for t in range(r):
+                    q[i - r + t] -= q[i] * f[t]
+            q = q[r:]
+    return tuple(q)
+
+
+def _mult_rows(a, g: list, q: int) -> list:
+    """Rows x^j a(x) mod g(x) over Z/q, j < deg g, for monic g."""
+    r = [0] * (len(g) - 1)
+    for c in reversed(a):
+        r = [(x - r[-1] * y) % q for x, y in zip([c] + r[:-1], g)]
+    rows = [r]
+    while len(rows) < len(g) - 1:
+        r = [(x - r[-1] * y) % q for x, y in zip([0] + r[:-1], g)]
+        rows.append(r)
+    return rows
+
+
+def _local_by_blocks(t: PolygonTuple, p: int, e: int) -> list:
+    """gcd(d_i, p^e) for the circulant's SNF divisors d_i, ascending like
+    ``exactla._local_divisors``; see ``deltas_of`` for the routes."""
+    k, a, q = t.k, t.entries, p**e
     if e == 1:
-        g = len(_gcd_coeffs(p, xk_minus_1(k, p).coeffs, a)) - 1
+        # from a list, not a generator: see PolygonTuple.residues
+        g = len(_gcd_coeffs(p, xk_minus_1(k, p).coeffs,
+                            _trim(tuple([x % p for x in a])))) - 1
         return [1] * (k - g) + [p] * g
-    a1 = sum(t.entries)
-    # x - 1 divides 1 + x + ... + x^{k-1} mod p iff p | k, and a iff p | a(1)
-    if k % p == 0 and a1 % p == 0 or len(_gcd_coeffs(p, (1,) * k, a)) > 1:
-        return None
-    return [1] * (k - 1) + [gcd(a1, p**e)]
+    ps = 1
+    while k % (ps * p) == 0:
+        ps *= p
+    m = k // ps
+    am = [sum(a[i::m]) for i in range(m)] if ps > 1 else a
+    am_p = _trim(tuple([x % p for x in am]))
+    if m == 1 or len(_gcd_coeffs(p, (1,) * m, am_p)) == 1:
+        if ps == 1:
+            return [1] * (k - 1) + [gcd(sum(a), q)]
+        # rotations of the fold: its circulant up to row order
+        f = [sum(a[i::ps]) for i in range(ps)]
+        return [1] * (k - ps) + list(
+            invariant_factors_mod([f[j:] + f[:j] for j in range(ps)], q))
+    out = []
+    for d in [d for d in range(1, m + 1) if m % d == 0]:
+        phi = _cyclotomic(d)
+        if len(_gcd_coeffs(p, phi, am_p)) > 1:
+            g = [0] * ((len(phi) - 1) * ps + 1)
+            g[::ps] = phi
+            out += invariant_factors_mod(_mult_rows(a, g, q), q)
+    # the unit blocks give the ones
+    return [1] * (k - len(out)) + sorted(out)
 
 
 def deltas_of(t: PolygonTuple) -> tuple:
@@ -87,36 +136,34 @@ def deltas_of(t: PolygonTuple) -> tuple:
     delta_i = n / gcd(d_i, n) where d_i are the integer SNF divisors of the
     circulant.  Each prime power p^e exactly dividing n contributes
     gcd(d_i, p^e), the invariant factors of the ideal (a) in
-    (Z/p^e)[x]/(x^k - 1), found by the first route that applies:
+    R = (Z/p^e)[x]/(x^k - 1):
 
     - e = 1: F_p[x]/(x^k - 1) is a principal ideal ring, so (a) = (g) with
       g = gcd(x^k - 1, a mod p), an F_p-space of dimension k - deg g.  The
       local divisors are k - deg g ones and deg g copies of p, also when
       p divides k, and a = 0 mod p gives g = x^k - 1.
-    - e >= 2 and gcd(1 + x + ... + x^{k-1}, a mod p) = 1: if p does not
-      divide k, x^k - 1 = (x - 1) * Phi with coprime factors that
-      Hensel-lift, so the ring splits as Z/p^e times (Z/p^e)[x]/(Phi), a is
-      a unit in the second factor and a(1) in the first.  If p divides k,
-      x - 1 divides Phi mod p, so the gcd is 1 only when a(1) is nonzero
-      mod p and a is a unit outright.  Either way the local divisors are
-      k - 1 ones and gcd(a(1), p^e), which is p^e for a validated tuple.
-      When p | k and p | a(1), x - 1 divides both, so the gcd is skipped.
-    - otherwise p^e joins the one call of ``invariant_factors_mod`` on the
-      product of the unsettled prime powers, the local prime-power
-      elimination that agrees with the full integer SNF but cannot blow up.
+    - e >= 2: write k = p^s m with p not dividing m.  Over Z, x^k - 1 is
+      the product of the G_d = Phi_d(x^(p^s)) over d | m, and mod p
+      G_d = Phi_d^(p^s) with the Phi_d pairwise coprime, since x^m - 1 is
+      squarefree mod p.  So R is the direct sum of the blocks
+      (Z/p^e)[x]/(G_d), of rank phi(d) p^s, with no Hensel lifting, and
+      the local divisors are the union of the blocks' divisors.  On block
+      d, a is a unit exactly when gcd(Phi_d, a mod p) = 1 over F_p, and
+      the block gives ones; any other block is reduced by
+      ``invariant_factors_mod`` on a's multiplication matrix mod G_d.
+      First, one gcd of 1 + x + ... + x^(m-1) = prod_{d > 1} Phi_d with
+      a mod (x^m - 1, p) tests every d > 1 block at once.  When it is 1,
+      only the d = 1 block (Z/p^e)[x]/(x^(p^s) - 1) is left: the p^s x p^s
+      circulant of the fold a'_i = sum of a_j over j = i mod p^s, which at
+      p^s = 1 is just gcd(a(1), p^e).
+
+    Every route is held to ``invariant_factors_mod`` of the full circulant,
+    the local elimination that agrees with the integer SNF.
     """
     n = t.modulus
     out = [1] * t.k
-    rest = 1
     for p, e in prime_factorization(n).items():
-        local = _local_by_gcd(t, p, e)
-        if local is None:
-            rest *= p**e
-        else:
-            out = [x * y for x, y in zip(out, local)]
-    if rest > 1:
-        out = [x * y for x, y in
-               zip(out, invariant_factors_mod(circulant(t), rest))]
+        out = [x * y for x, y in zip(out, _local_by_blocks(t, p, e))]
     return _canonical_deltas([n // d for d in out])
 
 

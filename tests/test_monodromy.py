@@ -255,10 +255,29 @@ def _route_entries(family, rng, k, n):
         if rng.random() < 0.5:
             a[-1] = (a[-1] - sum(a) + _divisor(rng, n)) % n
         return a
+    if family == "block":
+        # a = Phi_d(x) b(x) mod (x^k - 1, n) for d | m, m the p-free part of
+        # k at a prime p of n, so that block d of deltas_of is not a unit;
+        # p is taken from the primes with e >= 2, the block route, if any
+        pe = prime_factorization(n)
+        p = rng.choice([p for p in sorted(pe) if pe[p] > 1] or sorted(pe))
+        m = k
+        while m % p == 0:
+            m //= p
+        # d > 1 when m > 1: the zero-sum families already cover d = 1
+        phi = monodromy._cyclotomic(
+            rng.choice([d for d in range(2, m + 1) if m % d == 0] or [1]))
+        b = [rng.randrange(n) for _ in range(k)]
+        a = [0] * k
+        for i, c in enumerate(phi):
+            for j, x in enumerate(b):
+                a[(i + j) % k] += c * x
+        return [x % n for x in a]
     raise ValueError(family)
 
 
-ROUTE_FAMILIES = ("random", "periodic", "cyclotomic", "equal", "multiple", "raw")
+ROUTE_FAMILIES = ("random", "periodic", "cyclotomic", "equal", "multiple", "raw",
+                  "block")
 
 
 @pytest.mark.parametrize("family", ROUTE_FAMILIES)
@@ -272,22 +291,64 @@ def test_deltas_of_matches_elimination(family):
 
 
 @pytest.mark.parametrize("entries,n,eliminated", [
-    ([1] * 31 + [720689], 720720, [16]),   # only 2^4 | k = 32 is unsettled
-    ([1, 2, 4, 999976], 999983, []),       # e = 1: one gcd
-    ([1, 2, 3, 19], 25, []),               # 5 does not divide k, gcd 1
-    ([5, 5, 5, 10], 25, [25]),             # 5 | a mod 5: gcd x^3 + ... + 1
-    ([1, 2, 3, 2], 8, [8]),                # 2 | k: x - 1 divides both
+    ([1] * 31 + [720689], 720720, [(16, 32)]),  # k = 2^5: the whole circulant
+    ([1, 2, 4, 999976], 999983, []),            # e = 1: one gcd
+    ([1, 2, 3, 19], 25, []),                    # 5 does not divide k, gcd 1
+    # a = 0 mod 5: the blocks x - 1, x + 1 and x^2 + 1 are all reduced
+    ([5, 5, 5, 10], 25, [(25, 1), (25, 1), (25, 2)]),
+    ([1, 2, 3, 2], 8, [(8, 4)]),                # k = 2^2: the whole circulant
+    # k = 3 * 4, every d > 1 block a unit: the 3 x 3 fold alone
+    ([1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 5], 9, [(9, 3)]),
+    # k = 3 * 4, a = 0 mod (3, x^4 - 1): blocks d = 1, 2, 4 of ranks 3, 3, 6
+    ([1] * 11 + [7], 9, [(9, 3), (9, 3), (9, 6)]),
+    # k = 8 * 3, a = 0 mod (2, x^3 - 1): blocks d = 1, 3 of ranks 8, 16
+    (list(range(1, 24)) + [12], 16, [(16, 8), (16, 16)]),
 ])
 def test_deltas_of_eliminates_only_unsettled_prime_powers(
         monkeypatch, entries, n, eliminated):
     seen = []
 
     def spy(A, m):
-        seen.append(m)
+        seen.append((m, len(A)))
         return invariant_factors_mod(A, m)
 
     monkeypatch.setattr(monodromy, "invariant_factors_mod", spy)
     t = PolygonTuple(tuple(entries), n)
     assert deltas_of(t) == _canonical_deltas(
         [n // d for d in invariant_factors_mod(circulant(t), n)])
-    assert seen == eliminated
+    assert sorted(seen) == eliminated
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_products_are_xk_minus_1():
+    for k in range(1, 65):
+        prod_phi = [1]
+        for d in range(1, k + 1):
+            if k % d == 0:
+                prod_phi = _poly_mul(prod_phi, monodromy._cyclotomic(d))
+        assert prod_phi == [-1] + [0] * (k - 1) + [1], k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cyclotomic_of_x_to_the_p_s_is_a_power_mod_p(p):
+    # Phi_d(x^(p^s)) = Phi_d(x)^(p^s) mod p, the blocks' repeated roots
+    ps = 1
+    while ps <= 32:
+        for d in range(1, 25):
+            if d % p == 0:
+                continue
+            phi = monodromy._cyclotomic(d)
+            spread = [0] * ((len(phi) - 1) * ps + 1)
+            spread[::ps] = phi
+            power = [1]
+            for _ in range(ps):
+                power = _poly_mul(power, phi)
+            assert [x % p for x in spread] == [x % p for x in power], (d, ps)
+        ps *= p

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from billiard_monodromy import cli, construct, exactla, monodromy, oracle, polyfp, polygon
+from billiard_monodromy.polygon import PolygonTuple
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = (cli, construct, exactla, monodromy, oracle, polyfp, polygon)
@@ -51,3 +52,14 @@ def test_classify_prime_factors_once_at_p_equal_k_plus_1(tracer):
     # read it, so FACTOR_K_CAP bounds it too
     construct.classify_prime(6, 7)
     assert tracer.calls["polyfp.factor_xk_minus_1"] == 1
+
+
+@pytest.mark.parametrize("entries,blocks", [
+    ([1] * 11 + [7], 3),                              # blocks d = 1, 2, 4
+    ([1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 5], 1),        # the 3 x 3 fold alone
+])
+def test_deltas_of_eliminates_blocks_through_the_wrapped_name(tracer, entries, blocks):
+    # each non-unit block of k = 12 mod 9 is one call the tracer counts, so
+    # the per-layer metric cannot fall to 0 behind a direct elimination call
+    monodromy.deltas_of(PolygonTuple(tuple(entries), 9))
+    assert tracer.calls["exactla.invariant_factors_mod"] == blocks
