@@ -528,7 +528,7 @@ def composite_feasible(k: int, n: int, deltas,
             detail="every combination of achieving tuples leaves some "
                    "coordinate zero at all prime powers")
     parts = [patterns_by_q[q][pat] for q, pat in zip(qs, choice)]
-    combined = reduce(combine_crt, parts) if len(parts) > 1 else parts[0]
+    combined = reduce(combine_crt, parts)
     witness = pad_to_geometric(combined) or find_geometric_associate(combined)
     if witness is None or deltas_of(witness) != deltas:
         raise InternalVerificationFailed(

@@ -11,8 +11,9 @@ descriptors compare by.
 ``deltas_of`` settles the gcds one prime power p^e of n at a time.  At
 e = 1 the p-part is read off one polynomial gcd over F_p.  At e >= 2 the
 ring splits along the factors Phi_d(x^(p^s)) of x^k - 1, k = p^s m with p
-not dividing m and d | m; gcds over F_p find the blocks where a(x) is a
-unit, and only the other blocks are eliminated mod p^e, each from a's
+not dividing m and d | m.  Block d = 1 is always the circulant of a folded
+mod x^(p^s) - 1; gcds over F_p find the d > 1 blocks where a(x) is a unit,
+and only the other blocks are eliminated mod p^e, each from a's
 multiplication matrix of rank phi(d) p^s.  The modular elimination of the
 whole circulant stays the reference the tests hold every route to.
 """
@@ -110,22 +111,21 @@ def _local_by_blocks(t: PolygonTuple, p: int, e: int) -> list:
     while k % (ps * p) == 0:
         ps *= p
     m = k // ps
-    am = [sum(a[i::m]) for i in range(m)] if ps > 1 else a
-    am_p = _trim(tuple([x % p for x in am]))
-    if m == 1 or len(_gcd_coeffs(p, (1,) * m, am_p)) == 1:
-        if ps == 1:
-            return [1] * (k - 1) + [gcd(sum(a), q)]
+    if ps == 1:
+        out, am = [gcd(sum(a), q)], a
+    else:
         # rotations of the fold: its circulant up to row order
         f = [sum(a[i::ps]) for i in range(ps)]
-        return [1] * (k - ps) + list(
-            invariant_factors_mod([f[j:] + f[:j] for j in range(ps)], q))
-    out = []
-    for d in [d for d in range(1, m + 1) if m % d == 0]:
-        phi = _cyclotomic(d)
-        if len(_gcd_coeffs(p, phi, am_p)) > 1:
-            g = [0] * ((len(phi) - 1) * ps + 1)
-            g[::ps] = phi
-            out += invariant_factors_mod(_mult_rows(a, g, q), q)
+        out = list(invariant_factors_mod([f[j:] + f[:j] for j in range(ps)], q))
+        am = [sum(a[i::m]) for i in range(m)]
+    am_p = _trim(tuple([x % p for x in am]))
+    if m > 1 and len(_gcd_coeffs(p, (1,) * m, am_p)) > 1:
+        for d in [d for d in range(2, m + 1) if m % d == 0]:
+            phi = _cyclotomic(d)
+            if len(_gcd_coeffs(p, phi, am_p)) > 1:
+                g = [0] * ((len(phi) - 1) * ps + 1)
+                g[::ps] = phi
+                out += invariant_factors_mod(_mult_rows(a, g, q), q)
     # the unit blocks give the ones
     return [1] * (k - len(out)) + sorted(out)
 
@@ -147,15 +147,16 @@ def deltas_of(t: PolygonTuple) -> tuple:
       G_d = Phi_d^(p^s) with the Phi_d pairwise coprime, since x^m - 1 is
       squarefree mod p.  So R is the direct sum of the blocks
       (Z/p^e)[x]/(G_d), of rank phi(d) p^s, with no Hensel lifting, and
-      the local divisors are the union of the blocks' divisors.  On block
-      d, a is a unit exactly when gcd(Phi_d, a mod p) = 1 over F_p, and
-      the block gives ones; any other block is reduced by
-      ``invariant_factors_mod`` on a's multiplication matrix mod G_d.
-      First, one gcd of 1 + x + ... + x^(m-1) = prod_{d > 1} Phi_d with
-      a mod (x^m - 1, p) tests every d > 1 block at once.  When it is 1,
-      only the d = 1 block (Z/p^e)[x]/(x^(p^s) - 1) is left: the p^s x p^s
+      the local divisors are the union of the blocks' divisors.  Block
+      d = 1, (Z/p^e)[x]/(x^(p^s) - 1), is always reduced as the p^s x p^s
       circulant of the fold a'_i = sum of a_j over j = i mod p^s, which at
-      p^s = 1 is just gcd(a(1), p^e).
+      p^s = 1 is just gcd(a(1), p^e).  On block d > 1, a is a unit exactly
+      when gcd(Phi_d, a mod p) = 1 over F_p, and the block gives ones.  One
+      gcd of 1 + x + ... + x^(m-1) = prod_{d > 1} Phi_d with
+      a mod (x^m - 1, p) tests every d > 1 block at once; only when it is
+      not 1 are the d > 1 blocks tested one by one, and each non-unit
+      block is reduced by ``invariant_factors_mod`` on a's multiplication
+      matrix mod G_d.
 
     Every route is held to ``invariant_factors_mod`` of the full circulant,
     the local elimination that agrees with the integer SNF.
@@ -177,7 +178,7 @@ def group_of(t: PolygonTuple) -> GroupDescriptor:
     deltas = deltas_of(t)
     trivial = None
     if prod(deltas) <= DEFAULT_ACTION_CAP:
-        trivial = oracle.span_shift_is_trivial(t, cap=DEFAULT_ACTION_CAP + 1)
+        trivial = oracle.span_shift_is_trivial(t)
     return GroupDescriptor(t.modulus, t.k, deltas, trivial)
 
 

@@ -140,11 +140,6 @@ def divisors(n: int) -> list:
     return sorted(divs)
 
 
-def units(n: int):
-    """The units of Z/nZ, ascending."""
-    return (c for c in range(1, n) if gcd(c, n) == 1)
-
-
 def crt_pair(a: int, n1: int, b: int, n2: int) -> int:
     """Least nonnegative x with x = a (mod n1) and x = b (mod n2); coprime moduli."""
     m = pow(n1, -1, n2)

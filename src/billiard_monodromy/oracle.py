@@ -496,6 +496,8 @@ def check_structure(t: PolygonTuple,
       elements fixing every second coordinate.
     - normal / trivial_intersection / product_covers_group: N is normal,
       meets <sigma0> trivially, and N * <sigma0> is the whole group.
+      Normality is checked by sigma0 alone: with g = sigma0 sigma1 in N,
+      sigma1 h sigma1^-1 = sigma0^-1 (g h g^-1) sigma0 then lies in N.
     - order_is_k_times_n: |G| = k * |N|.
     - conjugation_is_cyclic_shift: conjugating by sigma0 rotates the
       translation vectors by one coordinate.
@@ -524,12 +526,12 @@ def check_structure(t: PolygonTuple,
     stabilizer = {g for g in G if _fixes_seconds(g, coord, coord_table)}
     fixed_subgroup_ok = stabilizer == N
 
-    s0_inv, s1_inv = _inverse(s0), _inverse(s1)
+    s0_inv = _inverse(s0)
     intersection_ok = all(r not in N for r in rot_powers[1:])
 
     # One pass over N checks normality, the product, the translations and
     # the conjugation action, with each h prepared as a left factor once.
-    s0_table, s1_table = _table(s0), _table(s1)
+    s0_table = _table(s0)
     # h is a translation iff it fixes every second coordinate and commutes
     # with shift: (m, i) -> (m + 1, i)
     shift = _like(s0, [(x + k) % size for x in range(size)])
@@ -541,9 +543,9 @@ def check_structure(t: PolygonTuple,
         h_table = _table(h)
         conj = _compose(s0_table, _compose(h_table, s0_inv))   # s0 h s0^-1
         conj_in_n = conj in N
-        if normal_ok:
-            normal_ok = (conj_in_n and
-                         _compose(s1_table, _compose(h_table, s1_inv)) in N)
+        # sigma0 alone decides normality while pair_gens[0] = sigma0 sigma1
+        # generates N: sigma1 = sigma0^-1 pair_gens[0], and N is a group
+        normal_ok = normal_ok and conj_in_n
         product.update([_compose(h_table, r) for r in rot_powers])
         if translations_ok:
             translations_ok = h in stabilizer and _commutes_with_shift(

@@ -124,6 +124,7 @@ class TestSnf:
 
     @pytest.mark.parametrize("matrix", [
         '[["a"]]', "[[null]]", "[[[1]]]", "[[1.5, 2]]", "[[true]]", "[[]]",
+        "[[1,2],[3]]",
     ])
     def test_non_integer_or_empty_rows_are_usage(self, capsys, matrix):
         code, out, err = run(capsys, "snf", "--matrix", matrix)
@@ -248,6 +249,12 @@ class TestFactor:
         assert code == 1
         assert out == ""
         assert "318665857834031151167461 is not prime" in err
+
+    def test_nonpositive_k_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "factor", "--k", "0", "--p", "5")
+        assert (code, out) == (1, "")
+        assert err == ("rejected: PreconditionFailed: k must be positive, "
+                       "got 0\n")
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -560,6 +560,8 @@ class TestCompositeFeasible:
             composite_feasible(3, 10, (3,))
         with pytest.raises(PreconditionFailed):
             composite_feasible(3, 10, (2, 10))
+        with pytest.raises(PreconditionFailed, match="must be nontrivial$"):
+            composite_feasible(3, 6, (1,))
 
     @pytest.mark.parametrize("deltas,bad", [((6, 0), 0), ((-6,), -6), ((6, 1, -1), -1)])
     def test_nonpositive_target_is_named(self, deltas, bad):

@@ -849,6 +849,50 @@ def test_broken_pairs_above_the_threshold(monkeypatch, mutation):
     assert _outcomes(tuples, caps=({"group_cap": 20_000},)) == own
 
 
+def _normal_halves(s0, s1, k, size):
+    """Whether conjugating by sigma0, and by sigma1, maps every element of N
+    into N, with N the closure of the pair generators sigma0^x sigma1^x."""
+    rot_powers, s1_powers = _powers(s0, k), _powers(s1, k)
+    pair_gens = [_mul(a, b) for a, b in zip(rot_powers[1:], s1_powers[1:])]
+    N = _closure(pair_gens, size, 20_000, "span")
+    return tuple([all(_mul(s, _mul(h, _inverse(s))) in N for h in N)
+                  for s in (s0, s1)])
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_sigma1_normality_follows_from_sigma0(monkeypatch, mutation):
+    # check_structure's "normal" conjugates by sigma0 alone; the sigma1 half
+    # it leaves out is the reference, and on every pair, broken or not, and
+    # every encoding it holds wherever the sigma0 half does
+    if mutation:
+        _break(monkeypatch, mutation)
+    rng = random.Random(101)
+    tuples = [random_algebraic(rng, k_lo=2, k_hi=4, n_lo=2, n_hi=6)
+              for _ in range(12)]
+    tuples += [validate(entries, n) for entries, n in ABOVE_THRESHOLD]
+    encodings, seen = set(), set()
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(oracle, "_packed_pair", _tuple_pair)
+            for t in tuples:
+                s0, s1, size = oracle._packed_pair(oracle.build_permutations(t))
+                try:
+                    rep = check_structure(t, group_cap=20_000)
+                except CapExceeded:
+                    continue
+                s0_half, s1_half = _normal_halves(s0, s1, t.k, size)
+                assert s1_half or not s0_half, (t, forced)
+                assert rep.clauses["normal"] == s0_half, (t, forced)
+                encodings.add("fibre" if _fibred(s0) else type(s0).__name__)
+                seen.add((s0_half, s1_half))
+    # only swap_s1 makes N not normal here, and then both halves fail
+    assert seen == ({(True, True), (False, False)} if mutation == "swap_s1"
+                    else {(True, True)})
+    assert encodings == ({"bytes", "tuple"} if mutation in FIBRE_SPLITTING
+                         else {"bytes", "fibre", "tuple"})
+
+
 @pytest.mark.parametrize("entries,n,fibred", [
     ([1, 254], 255, True),
     ([1, 255], 256, True),

@@ -56,6 +56,8 @@ class TestValidate:
     def test_gcd_clause(self):
         with pytest.raises(GcdNotOne):
             validate([2, 2, 4], 8, "algebraic")
+        with pytest.raises(GcdNotOne):
+            validate([2, 2, 2, 2], 4, "geometric")
 
     def test_k_too_small(self):
         with pytest.raises(KTooSmall):
@@ -70,6 +72,10 @@ class TestValidate:
     def test_entry_too_large_rejected(self):
         with pytest.raises(EntryOutOfRange):
             validate([10, 2, 2, 1], 5, "geometric")
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(EntryOutOfRange, match="^entry a_1=-1 is negative$"):
+            validate([4, -1, 2], 5, "algebraic")
 
     def test_algebraic_reduces_entries(self):
         t = validate([3, 5, 11, 1], 10, "algebraic")
@@ -127,6 +133,11 @@ class TestGeometricAssociate:
     def test_zero_entry_has_no_associate(self):
         assert find_geometric_associate(validate([1, 1, 0], 2)) is None
         assert find_geometric_associate(validate([1, 0, 4], 5)) is None
+
+    def test_padding_refusals(self):
+        # k < 3, and a residue sum 15 above (k - 2) n = 10
+        assert pad_to_geometric(validate([1, 2], 3)) is None
+        assert pad_to_geometric(validate([4, 4, 4, 3], 5)) is None
 
     @pytest.mark.parametrize("k,lo,hi", [
         (3, 2, 40),
