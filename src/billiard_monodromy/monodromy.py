@@ -12,10 +12,11 @@ descriptors compare by.
 e = 1 the p-part is read off one polynomial gcd over F_p.  At e >= 2 the
 ring splits along the factors Phi_d(x^(p^s)) of x^k - 1, k = p^s m with p
 not dividing m and d | m.  Block d = 1 is always the circulant of a folded
-mod x^(p^s) - 1; gcds over F_p find the d > 1 blocks where a(x) is a unit,
-and only the other blocks are eliminated mod p^e, each from a's
-multiplication matrix of rank phi(d) p^s.  The modular elimination of the
-whole circulant stays the reference the tests hold every route to.
+mod x^(p^s) - 1, and at p^s = 1 block d = 2 is a(-1) in Z/p^e; gcds over
+F_p find the other d > 1 blocks where a(x) is a unit, and only the rest
+are eliminated mod p^e, each from a's multiplication matrix of rank
+phi(d) p^s.  The modular elimination of the whole circulant stays the
+reference the tests hold every route to.
 """
 
 from dataclasses import dataclass, field
@@ -121,6 +122,10 @@ def _local_by_blocks(t: PolygonTuple, p: int, e: int) -> list:
     am_p = _trim(tuple([x % p for x in am]))
     if m > 1 and len(_gcd_coeffs(p, (1,) * m, am_p)) > 1:
         for d in [d for d in range(2, m + 1) if m % d == 0]:
+            if d == 2 and ps == 1:
+                # (Z/p^e)[x]/(x + 1) is Z/p^e, where a is a(-1)
+                out.append(gcd(sum(a[::2]) - sum(a[1::2]), q))
+                continue
             phi = _cyclotomic(d)
             if len(_gcd_coeffs(p, phi, am_p)) > 1:
                 g = [0] * ((len(phi) - 1) * ps + 1)
@@ -150,13 +155,15 @@ def deltas_of(t: PolygonTuple) -> tuple:
       the local divisors are the union of the blocks' divisors.  Block
       d = 1, (Z/p^e)[x]/(x^(p^s) - 1), is always reduced as the p^s x p^s
       circulant of the fold a'_i = sum of a_j over j = i mod p^s, which at
-      p^s = 1 is just gcd(a(1), p^e).  On block d > 1, a is a unit exactly
-      when gcd(Phi_d, a mod p) = 1 over F_p, and the block gives ones.  One
-      gcd of 1 + x + ... + x^(m-1) = prod_{d > 1} Phi_d with
-      a mod (x^m - 1, p) tests every d > 1 block at once; only when it is
-      not 1 are the d > 1 blocks tested one by one, and each non-unit
-      block is reduced by ``invariant_factors_mod`` on a's multiplication
-      matrix mod G_d.
+      p^s = 1 is just gcd(a(1), p^e).  Likewise at p^s = 1 block d = 2,
+      (Z/p^e)[x]/(x + 1), is Z/p^e with a read as a(-1), so it gives
+      gcd(a(-1), p^e), which is 1 unless p divides a(-1).  On any other
+      block d > 1, a is a unit exactly when gcd(Phi_d, a mod p) = 1 over
+      F_p, and the block gives ones.  One gcd of 1 + x + ... + x^(m-1) =
+      prod_{d > 1} Phi_d with a mod (x^m - 1, p) tests every d > 1 block
+      at once; only when it is not 1 are the d > 1 blocks tested one by
+      one, and each non-unit block is reduced by ``invariant_factors_mod``
+      on a's multiplication matrix mod G_d.
 
     Every route is held to ``invariant_factors_mod`` of the full circulant,
     the local elimination that agrees with the integer SNF.

@@ -33,11 +33,15 @@ a . b is ``_compose(_table(a), b)``, a prepared once per left factor.
   coordinate iff its F is the identity, and commutes with (m, i) ->
   (m + 1, i) iff each of its blocks turns C_n.
 - tuples otherwise: a . b is an ``itemgetter`` over b applied to a.
+
+``check_structure`` enumerates G and N, but decides the clauses over N on
+N's generators and N * <sigma0> = G by a coset count, each exact by one of
+the subgroup lemmas (i)-(iv) its docstring names.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat, starmap
+from itertools import starmap
 from math import gcd, prod
 from operator import itemgetter
 import struct
@@ -425,9 +429,11 @@ def span_invariants(t: PolygonTuple, cap: int = DEFAULT_SPAN_CAP) -> AbelianInva
     vectors = set(_vectors(blob, t.k, w, rb))
     if len(vectors) != count:
         raise AssertionError("span records repeat")
-    # the order n / gcd(n, gcd(v)) of each vector, at C speed
-    tally = Counter(map(n.__floordiv__,
-                        map(gcd, repeat(n), starmap(gcd, vectors))))
+    # gcd(v) of each vector at C speed; the few distinct gcds g then give
+    # the orders n / gcd(n, g)
+    tally = Counter()
+    for g, c in Counter(starmap(gcd, vectors)).items():
+        tally[n // gcd(n, g)] += c
     factors = []
     for p, e in prime_factorization(n).items():
         prev = 0
@@ -501,6 +507,23 @@ def check_structure(t: PolygonTuple,
     - order_is_k_times_n: |G| = k * |N|.
     - conjugation_is_cyclic_shift: conjugating by sigma0 rotates the
       translation vectors by one coordinate.
+
+    G, N and the stabilizer scan over G are enumerated in full.  The
+    clauses over N are decided on N's generators sigma0^x sigma1^x, each
+    exactly, by a standard subgroup lemma:
+    (i) conjugation by sigma0 is an automorphism, so it maps N into N iff
+        it maps each generator into N (normal);
+    (ii) the elements fixing every second coordinate, and those commuting
+        with (m, i) -> (m + 1, i), are subgroups, so N lies in both iff its
+        generators do (translations_by_vectors);
+    (iii) on translations, h -> v(h) is a homomorphism, so conjugation
+        rotates every vector, and every vector is rotation-invariant
+        (action_trivial), iff that holds on the generators;
+    (iv) N * {sigma0^j : j < k} is the union of d0 distinct right cosets of
+        N, d0 the least d >= 1 with sigma0^d in N (d0 divides k), and lies
+        in G, so it is G iff |N| * d0 = |G| (product_covers_group).
+    When a generator's conjugate leaves N, action_trivial stops at the
+    first such generator, in the order x = 1, ..., k - 1.
     """
     check_group_cap(t, group_cap)
     pp = build_permutations(t)
@@ -526,27 +549,28 @@ def check_structure(t: PolygonTuple,
     stabilizer = {g for g in G if _fixes_seconds(g, coord, coord_table)}
     fixed_subgroup_ok = stabilizer == N
 
-    s0_inv = _inverse(s0)
-    intersection_ok = all(r not in N for r in rot_powers[1:])
+    # d0 (lemma iv) is k when sigma0^j is in N for no 0 < j < k
+    d0 = next((d for d in range(1, k) if rot_powers[d] in N), k)
+    intersection_ok = d0 == k
+    product_ok = len(N) * d0 == len(G)
+    order_ok = len(G) == k * len(N)
 
-    # One pass over N checks normality, the product, the translations and
-    # the conjugation action, with each h prepared as a left factor once.
-    s0_table = _table(s0)
+    # the clauses over N are read off its generators (lemmas i-iii), each
+    # prepared as a left factor once
+    s0_table, s0_inv = _table(s0), _inverse(s0)
     # h is a translation iff it fixes every second coordinate and commutes
     # with shift: (m, i) -> (m + 1, i)
     shift = _like(s0, [(x + k) % size for x in range(size)])
     # wheel is read on fibre blocks only, where n <= 256
     shift_table, wheel = _table(shift), _BYTE_RANGE[:n] * 2
     normal_ok = translations_ok = shift_ok = action_trivial = True
-    product = set()
-    for h in N:
+    for h in pair_gens:
         h_table = _table(h)
         conj = _compose(s0_table, _compose(h_table, s0_inv))   # s0 h s0^-1
         conj_in_n = conj in N
         # sigma0 alone decides normality while pair_gens[0] = sigma0 sigma1
         # generates N: sigma1 = sigma0^-1 pair_gens[0], and N is a group
         normal_ok = normal_ok and conj_in_n
-        product.update([_compose(h_table, r) for r in rot_powers])
         if translations_ok:
             translations_ok = h in stabilizer and _commutes_with_shift(
                 h, h_table, shift, shift_table, wheel)
@@ -557,8 +581,6 @@ def check_structure(t: PolygonTuple,
                 shift_ok = False
             elif rotated != v:
                 action_trivial = False
-    product_ok = product == G
-    order_ok = len(G) == k * len(N)
     # the conjugation clause reads translation vectors, so it needs them
     if not translations_ok:
         shift_ok = False

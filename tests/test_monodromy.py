@@ -294,8 +294,9 @@ def test_deltas_of_matches_elimination(family):
     ([1] * 31 + [720689], 720720, [(16, 32)]),  # k = 2^5: the whole circulant
     ([1, 2, 4, 999976], 999983, []),            # e = 1: one gcd
     ([1, 2, 3, 19], 25, []),                    # 5 does not divide k, gcd 1
-    # a = 0 mod 5: block x - 1 is gcd(a(1), 25), x + 1 and x^2 + 1 reduced
-    ([5, 5, 5, 10], 25, [(25, 1), (25, 2)]),
+    # a = 0 mod 5: blocks x - 1 and x + 1 are gcd(a(1), 25) and
+    # gcd(a(-1), 25), x^2 + 1 reduced
+    ([5, 5, 5, 10], 25, [(25, 2)]),
     ([1, 2, 3, 2], 8, [(8, 4)]),                # k = 2^2: the whole circulant
     # k = 3 * 4, every d > 1 block a unit: the 3 x 3 fold alone
     ([1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 5], 9, [(9, 3)]),
@@ -303,6 +304,8 @@ def test_deltas_of_matches_elimination(family):
     ([1] * 11 + [7], 9, [(9, 3), (9, 3), (9, 6)]),
     # k = 8 * 3, a = 0 mod (2, x^3 - 1): blocks d = 1, 3 of ranks 8, 16
     (list(range(1, 24)) + [12], 16, [(16, 8), (16, 16)]),
+    # k = 6, a(-1) = -15: block x + 1 gives 5, the others are units
+    ([1, 1, 1, 1, 3, 18], 25, []),
 ])
 def test_deltas_of_eliminates_only_unsettled_prime_powers(
         monkeypatch, entries, n, eliminated):

@@ -893,6 +893,118 @@ def test_sigma1_normality_follows_from_sigma0(monkeypatch, mutation):
                          else {"bytes", "fibre", "tuple"})
 
 
+def _clauses_element_by_element(pp):
+    """normal, translations_by_vectors, product_covers_group,
+    conjugation_is_cyclic_shift, action_trivial and |N * <sigma0>| / |N|,
+    each decided on every element of N, with N * <sigma0> enumerated: the
+    reference for check_structure's generator and coset-count reads.  It
+    works on plain tuples, whose hashes and so whose order over N are fixed.
+    """
+    n, k, size = pp.n, pp.k, pp.n * pp.k
+    s0, s1 = tuple(pp.sigma0), tuple(pp.sigma1)
+    rot_powers, s1_powers = _powers(s0, k), _powers(s1, k)
+    pair_gens = [_mul(a, b) for a, b in zip(rot_powers[1:], s1_powers[1:])]
+    G = _closure([s0, s1], size, 20_000)
+    N = _closure(pair_gens, size, 20_000, "span")
+    s0_inv = _inverse(s0)
+    normal = translations = shift_ok = action_trivial = True
+    product = set()
+    for h in N:
+        conj = _mul(s0, _mul(h, s0_inv))
+        normal = normal and conj in N
+        product.update([_mul(h, r) for r in rot_powers])
+        v = [h[i] // k for i in range(k)]
+        translations = translations and all(
+            h[m * k + i] == (m + v[i]) % n * k + i
+            for m in range(n) for i in range(k))
+        if shift_ok:
+            rotated = v[-1:] + v[:-1]
+            if conj not in N or [conj[i] // k for i in range(k)] != rotated:
+                shift_ok = False
+            elif rotated != v:
+                action_trivial = False
+    if not translations:
+        shift_ok, action_trivial = False, True
+    return (normal, translations, product == G, shift_ok, action_trivial,
+            len(product) // len(N))
+
+
+def _invert_both(pp):
+    # N is the same span, but sigma0^-1 rotates its vectors the other way
+    return _inverse(tuple(pp.sigma0)), _inverse(tuple(pp.sigma1))
+
+
+def _negate_s1(pp):
+    # sigma1, then m -> -m: each pair generator fixes every second
+    # coordinate, but sigma0^x sigma1^x at odd x moves first coordinates by
+    # m -> c - m
+    n, k = pp.n, pp.k
+    return pp.sigma0, tuple([-(y // k) % n * k + y % k for y in pp.sigma1])
+
+
+# hand-built pairs that keep fibres whole and reach the generator reads'
+# remaining branches
+GENERATOR_CASES = {"invert_both": _invert_both, "negate_s1": _negate_s1}
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS, *GENERATOR_CASES])
+def test_generator_and_coset_reads_match_every_element(monkeypatch,
+                                                       mutation):
+    # check_structure decides normal, the translations and the conjugation
+    # action on N's generators, and the product by |N| * d0 = |G|; on every
+    # pair, broken or not, and every encoding each must read what the
+    # element-by-element reference reads.  s1_is_s0 on [6, 5, 6, 4] mod 7
+    # puts sigma0^2 in N (d0 = 2 < k), and swap_s1 on [3, 2] mod 5 makes
+    # N * <sigma0> smaller than G.  Where N's elements are translations but
+    # a conjugate fails the clause (invert_both at k >= 3), action_trivial
+    # depends on the order of the scan, so it is compared everywhere else.
+    real = build_permutations
+    if mutation:
+        broken = {**MUTATIONS, **GENERATOR_CASES}[mutation]
+        monkeypatch.setattr(oracle, "build_permutations",
+                            lambda t: PermutationPair(
+                                t.modulus, t.k, *broken(real(t))))
+    rng = random.Random(103)
+    tuples = [random_algebraic(rng, k_lo=2, k_hi=4, n_lo=2, n_hi=6)
+              for _ in range(12)]
+    tuples += [validate(entries, n) for entries, n in
+               [([6, 5, 6, 4], 7), ([3, 2], 5), *ABOVE_THRESHOLD]]
+    encodings, seen = set(), set()
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(oracle, "_packed_pair", _tuple_pair)
+            for t in tuples:
+                pp = oracle.build_permutations(t)
+                try:
+                    rep = check_structure(t, group_cap=20_000)
+                except CapExceeded:
+                    continue
+                *want, d0 = _clauses_element_by_element(pp)
+                got = [rep.clauses[c] for c in
+                       ("normal", "translations_by_vectors",
+                        "product_covers_group",
+                        "conjugation_is_cyclic_shift")]
+                scan_order = want[1] and not want[3]
+                assert got == want[:4], (t, forced)
+                assert rep.action_trivial == want[4] or scan_order, (t, forced)
+                s0 = oracle._packed_pair(pp)[0]
+                encodings.add("fibre" if _fibred(s0) else type(s0).__name__)
+                seen.update([("d0 < k", d0 < t.k), ("product", want[2]),
+                             ("scan order", scan_order)])
+    assert encodings == ({"bytes", "tuple"} if mutation in FIBRE_SPLITTING
+                         else {"bytes", "fibre", "tuple"})
+    if mutation == "s1_is_s0":
+        assert ("d0 < k", True) in seen
+    if mutation == "swap_s1":
+        assert ("product", False) in seen
+    # only the hand-built pairs reach the scan-order case
+    if mutation == "invert_both":
+        assert ("scan order", True) in seen
+    if mutation not in GENERATOR_CASES:
+        assert ("scan order", True) not in seen
+
+
 @pytest.mark.parametrize("entries,n,fibred", [
     ([1, 254], 255, True),
     ([1, 255], 256, True),
