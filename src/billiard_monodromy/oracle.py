@@ -34,6 +34,14 @@ a . b is ``_compose(_table(a), b)``, a prepared once per left factor.
   (m + 1, i) iff each of its blocks turns C_n.
 - tuples otherwise: a . b is an ``itemgetter`` over b applied to a.
 
+A group is closed coset by coset (Dimino's algorithm): each new generator
+extends the group H found so far by whole left cosets x . H, which are
+disjoint, so the element cap is met exactly, a coset at a time.  Only the
+coset representatives are tested for membership; every element is still
+built and hashed, about once.  G is closed over the pair products
+sigma0^x sigma1^x and then sigma0, so N comes first and the last cosets
+are sigma0^j . N.
+
 ``check_structure`` enumerates G and N, but decides the clauses over N on
 N's generators and N * <sigma0> = G by a coset count, each exact by one of
 the subgroup lemmas (i)-(iv) its docstring names.
@@ -41,7 +49,7 @@ the subgroup lemmas (i)-(iv) its docstring names.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import repeat, starmap
 from math import gcd, prod
 from operator import itemgetter
 import struct
@@ -246,35 +254,57 @@ def _powers(a, e):
 
 
 def _closure(generators, size, cap, name="group"):
-    """All products of the generators, by breadth-first multiplication.
+    """All products of the generators, by Dimino's coset enumeration (G.
+    Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
+
+    The powers of the first generator come first.  Then each generator g
+    not yet found extends the group H found so far: the coset
+    representatives r, starting with the identity, are left-multiplied by
+    every generator kept so far, and a product x outside the set opens the
+    left coset x . H, |H| composites.  Distinct left cosets of H are
+    disjoint, so each adds |H| new elements, and the set is closed once
+    every representative is walked.  Only representatives are tested for
+    membership; every element is still built and hashed, about once.
 
     ``name`` says which cap governs the closure in the CapExceeded message.
     The element cap is lowered, once, to the elements of ``size`` entries
     that CLOSURE_ENTRY_BUDGET holds, and the message then names the budget.
+    A coset is refused before it is built when it would take the set past
+    that limit, so the closure raises exactly when the group has more than
+    max(limit, 1) elements, with that many as the partial count.
     """
     limit = min(cap, CLOSURE_ENTRY_BUDGET // size)
-    seen = {_identity(generators[0])}
-    frontier = list(seen)
-    tables = [_table(g) for g in generators]
-    while frontier:
-        nxt = []
-        for g in frontier:
+
+    def admit(count):
+        if count > limit:
+            raise CapExceeded(
+                f"{name} closure exceeded cap {cap}" if limit == cap else
+                f"{name} closure exceeded CLOSURE_ENTRY_BUDGET="
+                f"{CLOSURE_ENTRY_BUDGET} stored permutation entries"
+                f" ({limit} elements of {size} entries)",
+                partial=max(limit, 1))
+
+    ident = _identity(generators[0])
+    tables = [_table(generators[0])]
+    seen = {ident}
+    h = _compose(tables[0], ident)
+    while h != ident:
+        admit(len(seen) + 1)
+        seen.add(h)
+        h = _compose(tables[0], h)
+    for g in generators[1:]:
+        if g in seen:
+            continue
+        tables.append(_table(g))
+        H = list(seen)
+        reps = [ident]
+        for r in reps:
             for table in tables:
-                h = _compose(table, g)
-                # one hash per product: a tuple does not cache its hash
-                count = len(seen)
-                seen.add(h)
-                if len(seen) > count:
-                    if count >= limit:
-                        raise CapExceeded(
-                            f"{name} closure exceeded cap {cap}"
-                            if limit == cap else
-                            f"{name} closure exceeded CLOSURE_ENTRY_BUDGET="
-                            f"{CLOSURE_ENTRY_BUDGET} stored permutation entries"
-                            f" ({limit} elements of {size} entries)",
-                            partial=count)
-                    nxt.append(h)
-        frontier = nxt
+                x = _compose(table, r)
+                if x not in seen:
+                    admit(len(seen) + len(H))
+                    reps.append(x)
+                    seen.update(map(_compose, repeat(_table(x)), H))
     return seen
 
 
@@ -291,10 +321,25 @@ def check_group_cap(t: PolygonTuple, cap: int = DEFAULT_GROUP_CAP) -> None:
         raise CapExceeded(f"group closure exceeded cap {cap}")
 
 
+def _group_generators(s0, s1, k):
+    """[sigma0 sigma1, ..., sigma0^(k-1) sigma1^(k-1), sigma0], k >= 2.
+
+    The first generates sigma1 = sigma0^-1 (sigma0 sigma1) together with
+    the last, so the list generates <sigma0, sigma1>, whatever the pair.
+    Its order sets the cost of ``_closure``: the pair products close N
+    first, a large subgroup, and the last step adds the cosets
+    sigma0^j . N, whose representatives are powers of sigma0 (on fibre
+    blocks, left factors with identity blocks).  The pair products alone
+    are N's generators.
+    """
+    rot_powers, s1_powers = _powers(s0, k), _powers(s1, k)
+    return [*map(_mul, rot_powers[1:], s1_powers[1:]), s0]
+
+
 def group_order(pp: PermutationPair, cap: int = DEFAULT_GROUP_CAP) -> int:
     """Size of <sigma0, sigma1>, or CapExceeded with the partial count."""
     s0, s1, size = _packed_pair(pp)
-    return len(_closure([s0, s1], size, cap))
+    return len(_closure(_group_generators(s0, s1, pp.k), size, cap))
 
 
 # ---- the translation subgroup as vectors ----
@@ -529,18 +574,17 @@ def check_structure(t: PolygonTuple,
     pp = build_permutations(t)
     n, k = pp.n, pp.k
     s0, s1, size = _packed_pair(pp)
-    ident = _identity(s0)
 
-    G = _closure([s0, s1], size, group_cap)
+    generators = _group_generators(s0, s1, k)
+    G = _closure(generators, size, group_cap)
 
-    rot_powers, s1_powers = _powers(s0, k), _powers(s1, k)
-    pair_gens = [_mul(a, b) for a, b in zip(rot_powers[1:], s1_powers[1:])]
+    pair_gens, rot_powers = generators[:-1], _powers(s0, k)
     commute = all(_mul(a, b) == _mul(b, a)
                   for i, a in enumerate(pair_gens)
                   for b in pair_gens[i + 1:])
 
     # the translation subgroup is the span, so the span cap governs it
-    N = _closure(pair_gens, size, span_cap, "span") if pair_gens else {ident}
+    N = _closure(pair_gens, size, span_cap, "span")
 
     # g fixes every second coordinate iff coord . g == coord, where
     # coord[x] = x mod k

@@ -849,6 +849,83 @@ def test_broken_pairs_above_the_threshold(monkeypatch, mutation):
     assert _outcomes(tuples, caps=({"group_cap": 20_000},)) == own
 
 
+# ---- the closure by cosets against breadth-first search ----
+
+def _closure_bfs(generators, size, cap, name="group"):
+    """All products of the generators, by breadth-first multiplication: the
+    route the coset enumeration replaced, kept as its reference."""
+    limit = min(cap, oracle.CLOSURE_ENTRY_BUDGET // size)
+    seen = {_identity(generators[0])}
+    frontier = list(seen)
+    tables = [_table(g) for g in generators]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for table in tables:
+                h = _compose(table, g)
+                # one hash per product: a tuple does not cache its hash
+                count = len(seen)
+                seen.add(h)
+                if len(seen) > count:
+                    if count >= limit:
+                        raise CapExceeded(
+                            f"{name} closure exceeded cap {cap}"
+                            if limit == cap else
+                            f"{name} closure exceeded CLOSURE_ENTRY_BUDGET="
+                            f"{oracle.CLOSURE_ENTRY_BUDGET} stored permutation "
+                            f"entries ({limit} elements of {size} entries)",
+                            partial=count)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+def _capped_pairs(mutation=None):
+    """Each CAPPED pair, broken by ``mutation``, in the oracle's own encoding
+    (bytes, or fibre blocks unless the mutation splits a fibre) and forced
+    to tuples: (s0, s1, k, size, |G| of the true pair)."""
+    for entries, n, order in TestEncodings.CAPPED:
+        pp = build_permutations(validate(entries, n))
+        if mutation:
+            pp = PermutationPair(n, pp.k, *MUTATIONS[mutation](pp))
+        for s0, s1, size in (_packed_pair(pp), _tuple_pair(pp)):
+            yield s0, s1, pp.k, size, order
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_closure_matches_bfs(mutation):
+    # the coset enumeration finds the set the breadth-first search finds,
+    # whatever the generator order, with the identity or a repeat among
+    # them, or the same message and partial count when the group outgrows
+    # the cap, as swap_s1's groups do
+    encodings = set()
+    for s0, s1, k, size, _ in _capped_pairs(mutation):
+        encodings.add("fibre" if _fibred(s0) else type(s0).__name__)
+        for gens in ([s0, s1], [s1, s0], oracle._group_generators(s0, s1, k),
+                     [_identity(s0), s1, s0, s1]):
+            assert (_outcome(_closure, gens, size, 2000)
+                    == _outcome(_closure_bfs, gens, size, 2000))
+    assert encodings == ({"bytes", "tuple"} if mutation in FIBRE_SPLITTING
+                         else {"bytes", "fibre", "tuple"})
+
+
+def test_closure_caps_match_bfs(monkeypatch):
+    # at every cap up to |G| + 1, and under a lowered entry budget, the
+    # closure stops at the same count as the breadth-first search
+    for s0, s1, k, size, order in _capped_pairs():
+        for gens in ([s0, s1], oracle._group_generators(s0, s1, k)):
+            outcomes = [_outcome(_closure, gens, size, cap, "span")
+                        for cap in range(1, order + 2)]
+            assert outcomes == [_outcome(_closure_bfs, gens, size, cap, "span")
+                                for cap in range(1, order + 2)]
+            assert outcomes[-2] == outcomes[-1] != outcomes[-3]
+            for budget in (size - 1, size, size * 7 + 3, size * order):
+                monkeypatch.setattr(oracle, "CLOSURE_ENTRY_BUDGET", budget)
+                assert (_outcome(_closure, gens, size, 10**6)
+                        == _outcome(_closure_bfs, gens, size, 10**6))
+            monkeypatch.undo()
+
+
 def _normal_halves(s0, s1, k, size):
     """Whether conjugating by sigma0, and by sigma1, maps every element of N
     into N, with N the closure of the pair generators sigma0^x sigma1^x."""
